@@ -21,10 +21,6 @@ MS_PER_DAY = 86_400_000
 _EPOCH_WEEKDAY = 3
 
 
-class DegenerateStd(ValueError):
-    """All keys share one conversion rate; standardized values are undefined."""
-
-
 class KeyRate(NamedTuple):
     key: str
     purchase_sessions: int

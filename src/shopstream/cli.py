@@ -105,6 +105,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _clear_manifest(out_dir: str) -> None:
+    """Remove an old completion marker before a run writes any output."""
+    try:
+        os.remove(os.path.join(out_dir, "manifest.json"))
+    except FileNotFoundError:
+        pass
+
+
 def _write_manifest(out_dir: str, payload: dict) -> None:
     payload = {"tool_version": __version__, **payload}
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -121,6 +129,7 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = _dataclass_from_dict(GenConfig, raw)
+    _clear_manifest(args.out)
     started = time.time()
     result = generate(cfg, args.out)
     _write_manifest(
@@ -143,6 +152,7 @@ def cmd_ingest(args) -> int:
     bot_keys = {f.name for f in dataclass_fields(BotFilterConfig)}
     bot_kwargs = {k: (frozenset(v) if isinstance(v, list) else v) for k, v in raw.items() if k in bot_keys}
     cfg = BotFilterConfig(**bot_kwargs)
+    _clear_manifest(args.out)
     started = time.time()
     events = list(read_events(args.input))
     kept, dropped = filter_events(events, cfg)
@@ -183,6 +193,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def cmd_analyze(args) -> int:
+    _clear_manifest(args.out)
     started = time.time()
     sessions = read_sessions(args.input)
     journeys = build_journeys(sessions)
@@ -296,9 +307,10 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = _protocol_from_config(raw)
+    _clear_manifest(args.out)
     started = time.time()
     sessions = read_sessions(args.input)
-    report = run_protocol(sessions, cfg, threads=max(1, args.threads))
+    report = run_protocol(sessions, cfg)
     os.makedirs(args.out, exist_ok=True)
     step_path = os.path.join(args.out, "step_report.csv")
     imp_path = os.path.join(args.out, "importance.csv")
@@ -340,14 +352,15 @@ def cmd_report(args) -> int:
     print(f"{'model':<6} {'setting':<11} {'variant':<9} {'mean F1':<9} best-step F1")
     seen = {}
     for r in rows:
-        key = (r["model"], r["setting"], r["variant"])
-        seen.setdefault(key, []).append((int(r["step"]), float(r["f1_mean"])))
-    for (model, setting, variant), pairs in sorted(seen.items()):
-        f1s = [f for _, f in pairs if not math.isnan(f)]
-        if not f1s:
+        f1 = float(r["f1_mean"])
+        if math.isnan(f1):  # a step whose every fold failed has no F1
             continue
+        key = (r["model"], r["setting"], r["variant"])
+        seen.setdefault(key, []).append((int(r["step"]), f1))
+    for (model, setting, variant), pairs in sorted(seen.items()):
         best_step, best = max(pairs, key=lambda p: p[1])
-        print(f"{model:<6} {setting:<11} {variant:<9} {np.mean(f1s):<9.4f} {best:.4f} @ step {best_step}")
+        mean = np.mean([f for _, f in pairs])
+        print(f"{model:<6} {setting:<11} {variant:<9} {mean:<9.4f} {best:.4f} @ step {best_step}")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ only; held-out sessions influence nothing but their own feature rows.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,9 @@ from .models import (
     MODEL_KINDS,
     PERMUTATION_KINDS,
     SCALED_KINDS,
+    LengthMismatch,  # re-exported with f1_score
     TrainConfig,
+    f1_score,
     fit as fit_model,
     importance as model_importance,
     model_to_json,
@@ -36,27 +37,8 @@ from .models import (
 from .sessions import build_journeys
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 class TooFewSessions(ValueError):
     pass
-
-
-def f1_score(y_true, y_pred) -> tuple[float, float, float]:
-    """(precision, recall, f1) on the positive class; 0 sentinel at P+R=0."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
-    tp = int(((y_true == 1) & (y_pred == 1)).sum())
-    fp = int(((y_true == 0) & (y_pred == 1)).sum())
-    fn = int(((y_true == 1) & (y_pred == 0)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
 
 
 def kfold_split(ids, labels, k: int, seed: int, stratified: bool = True) -> list[list]:
@@ -219,9 +201,13 @@ def _setting_pool(sessions, setting: str, min_pages: int):
     return pool
 
 
-def _run_fold(all_sessions, pool, fold_ids, fold_index, setting, cfg: ProtocolConfig,
-              collect_artifacts: bool = False):
-    """Fit context + models on everything outside fold_ids, evaluate inside."""
+def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
+              cfg: ProtocolConfig, collect_artifacts: bool = False):
+    """Fit context + models on everything outside fold_ids, evaluate inside.
+
+    full_journeys are the journeys of all_sessions; held-out rows read their
+    history from them, as at prediction time.
+    """
     eval_set = set(fold_ids)
     train_sessions = [s for s in pool if s.session_id not in eval_set]
     eval_sessions = [s for s in pool if s.session_id in eval_set]
@@ -230,7 +216,6 @@ def _run_fold(all_sessions, pool, fold_ids, fold_index, setting, cfg: ProtocolCo
     train_journeys = build_journeys(
         s for s in all_sessions if s.session_id not in eval_set
     )
-    full_journeys = build_journeys(all_sessions)
     ctx = fit_feature_context(train_sessions, train_journeys, cfg.markov_alpha)
 
     builder_train = StepMatrixBuilder(
@@ -278,9 +263,10 @@ def _run_fold(all_sessions, pool, fold_ids, fold_index, setting, cfg: ProtocolCo
     return cells, artifacts
 
 
-def run_protocol(sessions, cfg: ProtocolConfig, threads: int = 1) -> ProtocolReport:
+def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
     """Full protocol over every (setting, fold, step, variant, model) cell."""
     sessions = list(sessions)
+    full_journeys = build_journeys(sessions)
     rows = []
     names = {}
     for setting in cfg.settings:
@@ -295,16 +281,10 @@ def run_protocol(sessions, cfg: ProtocolConfig, threads: int = 1) -> ProtocolRep
         ids = [s.session_id for s in pool]
         labels = [1 if s.purchase else 0 for s in pool]
         folds = kfold_split(ids, labels, cfg.folds, cfg.seed, stratified=True)
-
-        def work(args):
-            fold_index, fold_ids = args
-            return _run_fold(sessions, pool, fold_ids, fold_index, setting, cfg)[0]
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-                fold_cells = list(pool_exec.map(work, enumerate(folds)))
-        else:
-            fold_cells = [work(item) for item in enumerate(folds)]
+        fold_cells = [
+            _run_fold(sessions, full_journeys, pool, fold_ids, fold_index, setting, cfg)[0]
+            for fold_index, fold_ids in enumerate(folds)
+        ]
 
         for variant in cfg.variants:
             for step in cfg.steps:
@@ -353,7 +333,8 @@ def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
     labels = [1 if s.purchase else 0 for s in pool]
     folds = kfold_split(ids, labels, cfg.folds, cfg.seed, stratified=True)
     _, artifacts = _run_fold(
-        sessions, pool, folds[fold_index], fold_index, setting, cfg, collect_artifacts=True
+        sessions, build_journeys(sessions), pool, folds[fold_index], fold_index, setting, cfg,
+        collect_artifacts=True,
     )
     return json.dumps(artifacts, sort_keys=True, separators=(",", ":"))
 

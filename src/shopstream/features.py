@@ -14,7 +14,6 @@ nothing beyond the requested step.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -230,63 +229,6 @@ def extract(
                 hist.switch_probability,
             ]
     return np.array(row, dtype=np.float64)
-
-
-def matrixize(
-    sessions,
-    journeys: dict,
-    step: int,
-    setting: str,
-    variant: str,
-    ctx: FeatureContext,
-    min_pages: int = 12,
-):
-    """Stack per-session feature rows; labels are the purchase flags.
-
-    All sessions must pass the min_pages filter; extraction errors propagate
-    with the offending session id attached.
-    """
-    names = feature_names(setting, variant)
-    rows = []
-    labels = []
-    for s in sessions:
-        j = journeys.get(s.customer_id) if s.customer_id is not None else None
-        try:
-            rows.append(extract(s, j, step, setting, variant, ctx, min_pages=min_pages))
-        except (ShortSession, StepOutOfRange, MissingJourney) as exc:
-            raise type(exc)(f"session {s.session_id}: {exc}") from None
-        labels.append(1 if s.purchase else 0)
-    X = np.vstack(rows) if rows else np.empty((0, len(names)))
-    return X, np.array(labels, dtype=np.int64), names
-
-
-def matrix_to_csv(X: np.ndarray, names) -> str:
-    """Audit form of a feature matrix: header row of feature names."""
-    lines = [",".join(names)]
-    for row in np.atleast_2d(X):
-        lines.append(",".join(f"{v:.10g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-class MatrixCache:
-    """Binary cache of (X, y) keyed by (corpus hash, step, setting, variant, fold)."""
-
-    def __init__(self, root):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _path(self, corpus_hash: str, step: int, setting: str, variant: str, fold: int) -> str:
-        return os.path.join(self.root, f"{corpus_hash}-{step}-{setting}-{variant}-{fold}.npz")
-
-    def put(self, key, X: np.ndarray, y: np.ndarray) -> None:
-        np.savez_compressed(self._path(*key), X=X, y=y)
-
-    def get(self, key):
-        path = self._path(*key)
-        if not os.path.exists(path):
-            return None
-        with np.load(path) as data:
-            return data["X"], data["y"]
 
 
 class StepMatrixBuilder:

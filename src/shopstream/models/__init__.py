@@ -41,6 +41,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class LengthMismatch(ValueError):
+    pass
+
+
 @dataclass
 class TrainConfig:
     kind: str = "rf"
@@ -141,13 +145,19 @@ def predict(model, X: np.ndarray) -> np.ndarray:
     return (predict_proba(model, X) >= 0.5).astype(np.int64)
 
 
-def _f1_of(y_true, y_pred) -> float:
+def f1_score(y_true, y_pred) -> tuple[float, float, float]:
+    """(precision, recall, f1) on the positive class; 0 sentinel at P+R=0."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if y_true.shape != y_pred.shape:
+        raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
     tp = int(((y_true == 1) & (y_pred == 1)).sum())
     fp = int(((y_true == 0) & (y_pred == 1)).sum())
     fn = int(((y_true == 1) & (y_pred == 0)).sum())
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return 2 * p * r / (p + r) if p + r else 0.0
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 def permutation_importance(model, X: np.ndarray, y: np.ndarray,
@@ -155,7 +165,7 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray,
     """Mean F1 drop per shuffled feature, clipped at 0 and normalized."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    base = _f1_of(y, predict(model, X))
+    base = f1_score(y, predict(model, X))[2]
     rng = np.random.default_rng(seed)
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
@@ -163,7 +173,7 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray,
         for _ in range(n_shuffles):
             Xp = X.copy()
             Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
-            acc += base - _f1_of(y, predict(model, Xp))
+            acc += base - f1_score(y, predict(model, Xp))[2]
         drops[j] = acc / n_shuffles
     drops = np.clip(drops, 0.0, None)
     total = drops.sum()

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+from .linear import _sigmoid
 
 
 class MLPClassifier:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linear import _sigmoid
+
 
 def _bin_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
     """Candidate split thresholds for one column (sorted, possibly empty)."""
@@ -66,19 +68,6 @@ class _Tree:
             go_left = X[rows, f] <= self.threshold[cur[rows]]
             cur[rows] = np.where(go_left, self.left[cur[rows]], self.right[cur[rows]])
         return self.value[cur]
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        cur = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(64):
-            feat = self.feature[cur]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            f = feat[rows]
-            go_left = X[rows, f] <= self.threshold[cur[rows]]
-            cur[rows] = np.where(go_left, self.left[cur[rows]], self.right[cur[rows]])
-        return cur
 
     def to_dict(self) -> dict:
         return {
@@ -355,10 +344,6 @@ class RandomForestClassifier:
         m.n_features = d["n_features"]
         m.trees = [_Tree.from_dict(t, m.n_features) for t in d["trees"]]
         return m
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 class GradientBoostingClassifier:

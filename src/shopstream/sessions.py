@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .ingest import RawEvent
+from .ingest import MalformedLine, RawEvent
 
 IDLE_GAP_SECONDS = 30 * 60
 MS_PER_DAY = 86_400_000.0
@@ -48,10 +48,6 @@ class Session:
     @property
     def end_time(self) -> int:
         return self.events[-1].timestamp
-
-    @property
-    def page_views(self) -> tuple:
-        return tuple(e for e in self.events if e.action == "PageView")
 
     @property
     def n_page_views(self) -> int:
@@ -247,9 +243,16 @@ def write_sessions(path, sessions) -> None:
 
 
 def read_sessions(path) -> list[Session]:
+    """Parse a sessions.jsonl file; a malformed record raises MalformedLine
+    with its 1-based line number."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 out.append(session_from_json(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise MalformedLine(f"bad session record: {type(exc).__name__}: {exc}",
+                                    line_no) from None
     return out

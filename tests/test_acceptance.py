@@ -224,7 +224,7 @@ def test_c07_anonymous_qualitative():
     n_eligible = sum(1 for s in sessions if s.n_page_views >= 12)
     pcfg = ProtocolConfig(steps=tuple(range(11)), folds=10, settings=("anonymous",),
                           models=("rf",), seed=42, train=_protocol_train())
-    report = run_protocol(sessions, pcfg, threads=2)
+    report = run_protocol(sessions, pcfg)
     elapsed = time.time() - started
 
     base_curve = [report.row("rf", "anonymous", "baseline", s).f1_mean for s in range(11)]
@@ -253,7 +253,7 @@ def test_c08_identified_qualitative():
     n_eligible = sum(1 for s in sessions if s.n_page_views >= 12 and s.customer_id)
     pcfg = ProtocolConfig(steps=tuple(range(11)), folds=10, settings=("identified",),
                           models=("rf",), seed=77, train=_protocol_train())
-    report = run_protocol(sessions, pcfg, threads=2)
+    report = run_protocol(sessions, pcfg)
     ext = [report.row("rf", "identified", "extended", s).f1_mean for s in range(11)]
     base_curve = [report.row("rf", "identified", "baseline", s).f1_mean for s in range(11)]
     min_ext = min(ext)
@@ -276,7 +276,7 @@ def test_c09_static_share_decay():
     pcfg = ProtocolConfig(steps=tuple(range(11)), folds=10, settings=("anonymous",),
                           variants=("extended",), models=("rf",), seed=55,
                           train=_protocol_train())
-    report = run_protocol(sessions, pcfg, threads=2)
+    report = run_protocol(sessions, pcfg)
     curve = static_share_curve(report, "rf", "anonymous", steps=range(11))
     rho = spearman_rank_correlation(list(range(1, 11)), curve[1:])
     ok = curve[0] == 1.0 and rho < 0.0

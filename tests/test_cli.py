@@ -163,3 +163,68 @@ def test_evaluate_too_few_sessions_exit_2(tmp_path, sessions_file):
 
 def test_report_missing_dir_exit_3(tmp_path):
     assert main(["report", "--out", str(tmp_path / "void")]) == 3
+
+
+def _evaluate_small(sessions_file, out, threads):
+    return main([
+        "evaluate", str(sessions_file), "--out", str(out), "--seed", "3", "--threads", threads,
+        "--set", "steps=[0,2]", "--set", 'models=["rf","knn"]', "--set", "folds=3",
+        "--set", "n_trees=4", "--set", "max_depth=4",
+    ])
+
+
+def test_evaluate_threads_do_not_change_results(sessions_file, tmp_path):
+    a, b = tmp_path / "t1", tmp_path / "t2"
+    assert _evaluate_small(sessions_file, a, "1") == 0
+    assert _evaluate_small(sessions_file, b, "2") == 0
+    for name in ("step_report.csv", "importance.csv"):
+        assert _sha(a / name) == _sha(b / name), name
+    assert json.loads((b / "manifest.json").read_text())["threads"] == 2
+
+
+def _bad_sessions(sessions_file, tmp_path, case):
+    first, second = open(sessions_file).read().splitlines()[:2]
+    if case == "truncated":
+        second = second[: len(second) // 2]
+    elif case == "not_an_object":
+        second = "[1, 2]"
+    else:
+        record = json.loads(second)
+        del record["events"]
+        second = json.dumps(record)
+    bad = tmp_path / f"{case}.jsonl"
+    bad.write_text(first + "\n" + second + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object"])
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_bad_sessions_record_exit_3_with_line(sessions_file, tmp_path, capsys, command, case):
+    bad = _bad_sessions(sessions_file, tmp_path, case)
+    assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_failed_rerun_leaves_no_stale_manifest(sessions_file, tmp_path):
+    out = tmp_path / "an"
+    assert main(["analyze", str(sessions_file), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    bad = _bad_sessions(sessions_file, tmp_path, "truncated")
+    assert main(["analyze", str(bad), "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
+
+
+def test_report_best_step_skips_failed_steps(tmp_path, capsys):
+    out = tmp_path / "ev"
+    out.mkdir()
+    (out / "step_report.csv").write_text(
+        "model,setting,variant,step,f1_mean,f1_std,precision,recall\n"
+        "lr,anonymous,baseline,0,nan,nan,nan,nan\n"
+        "lr,anonymous,baseline,1,0.250000,0.010000,0.200000,0.300000\n"
+        "lr,anonymous,baseline,2,0.500000,0.010000,0.400000,0.600000\n"
+    )
+    assert main(["report", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "0.3750" in printed  # mean over the finite steps only
+    assert "0.5000 @ step 2" in printed
+    assert "nan" not in printed

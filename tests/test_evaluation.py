@@ -181,17 +181,6 @@ def test_step0_reproducible_under_rerun():
         assert np.array_equal(ra.importance, rb.importance)
 
 
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(44)
-    sessions = _corpus(rng, n_sessions=60)
-    cfg = ProtocolConfig(steps=(0, 1), folds=3, settings=("anonymous",), models=("rf",),
-                         seed=4, train=_small_train())
-    a = run_protocol(sessions, cfg, threads=1)
-    b = run_protocol(sessions, cfg, threads=2)
-    assert a.step_report_csv() == b.step_report_csv()
-    assert a.importance_csv() == b.importance_csv()
-
-
 def test_failed_cells_reported_not_fatal():
     rng = np.random.default_rng(45)
     sessions = _corpus(rng, n_sessions=40)
@@ -284,7 +273,7 @@ def test_static_share_stays_high_without_dynamic_signal():
     cfg = ProtocolConfig(steps=tuple(range(11)), folds=4, settings=("anonymous",),
                          variants=("extended",), models=("rf",), seed=16,
                          train=TrainConfig(n_trees=20, max_depth=5, min_samples_leaf=25))
-    report = run_protocol(sessions, cfg, threads=2)
+    report = run_protocol(sessions, cfg)
     curve = static_share_curve(report, "rf", "anonymous", steps=range(11))
     assert curve[0] == 1.0
     assert all(share >= 0.8 for share in curve), curve

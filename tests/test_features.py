@@ -12,7 +12,6 @@ from shopstream.features import (
     extract,
     feature_names,
     fit_feature_context,
-    matrixize,
     static_mask,
 )
 from shopstream.sessions import Journey, StepOutOfRange, build_journeys, history_snapshot
@@ -184,18 +183,6 @@ def _random_corpus(rng, n, customer_share=0.5):
     return sessions
 
 
-def test_matrixize_shape_and_labels():
-    rng = np.random.default_rng(77)
-    sessions = _random_corpus(rng, 8, customer_share=0.0)
-    ctx = fit_feature_context(sessions, {})
-    X, y, names = matrixize(sessions, {}, 2, "anonymous", "extended", ctx, min_pages=12)
-    assert X.shape == (8, len(names))
-    assert np.array_equal(y, np.array([1 if s.purchase else 0 for s in sessions]))
-    # rows equal independent per-session extraction
-    for i, s in enumerate(sessions):
-        assert np.array_equal(X[i], extract(s, None, 2, "anonymous", "extended", ctx))
-
-
 def test_builder_matches_extract_all_configs():
     rng = np.random.default_rng(123)
     sessions = _random_corpus(rng, 30)
@@ -208,6 +195,7 @@ def test_builder_matches_extract_all_configs():
         for variant in ("baseline", "extended"):
             for step in (0, 1, 5, 10):
                 X, y = builder.matrix(step, variant)
+                assert np.array_equal(y, [1 if s.purchase else 0 for s in subset])
                 for i, s in enumerate(subset):
                     j = journeys.get(s.customer_id) if s.customer_id else None
                     ref = extract(s, j, step, setting, variant, ctx, min_pages=12)
@@ -229,26 +217,6 @@ def test_builder_step_monotonicity():
             assert np.array_equal(X[:, static_cols], prev[:, static_cols])
             assert (X[:, count_col] >= prev[:, count_col]).all()
         prev = X
-
-
-def test_matrix_csv_and_cache(tmp_path):
-    from shopstream.features import MatrixCache, matrix_to_csv
-
-    rng = np.random.default_rng(19)
-    sessions = _random_corpus(rng, 6, customer_share=0.0)
-    ctx = fit_feature_context(sessions, {})
-    X, y, names = matrixize(sessions, {}, 1, "anonymous", "extended", ctx, min_pages=12)
-    text = matrix_to_csv(X, names)
-    lines = text.strip().splitlines()
-    assert lines[0] == ",".join(names)
-    assert len(lines) == 1 + X.shape[0]
-
-    cache = MatrixCache(tmp_path / "cache")
-    key = ("deadbeef", 1, "anonymous", "extended", 0)
-    assert cache.get(key) is None
-    cache.put(key, X, y)
-    X2, y2 = cache.get(key)
-    assert np.array_equal(X, X2) and np.array_equal(y, y2)
 
 
 def test_context_serialization_is_deterministic():
