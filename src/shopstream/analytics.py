@@ -133,7 +133,7 @@ def temporal_profile(sessions, axis: str = "weekday") -> dict:
 
 
 def channel_mix(sessions) -> dict:
-    """Channel fractions per label plus standardized conversion per channel."""
+    """Channel fractions per label."""
     counts = {True: {c: 0 for c in CHANNELS}, False: {c: 0 for c in CHANNELS}}
     for s in sessions:
         counts[s.purchase][s.channel] += 1
@@ -142,8 +142,7 @@ def channel_mix(sessions) -> dict:
         total = sum(per_channel.values())
         if total:
             fractions[label] = {c: per_channel[c] / total for c in CHANNELS}
-    report = conversion_rates(sessions, key="channel") if sessions else None
-    return {"fractions": fractions, "conversion": report}
+    return {"fractions": fractions}
 
 
 def device_ownership(journeys) -> dict:

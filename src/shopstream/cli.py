@@ -52,49 +52,39 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_kv_text(text: str) -> dict:
-    out = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidConfig(line, "expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
-    return out
+def _parse_pair(item: str, message: str) -> tuple:
+    """Split one `key = value` setting; the value is JSON when it parses."""
+    if "=" not in item:
+        raise InvalidConfig(item, message)
+    key, _, value = item.partition("=")
+    value = value.strip()
+    try:
+        return key.strip(), json.loads(value)
+    except json.JSONDecodeError:
+        return key.strip(), value
 
 
 def load_config(path: str | None, overrides) -> dict:
-    cfg = _parse_kv_text(open(path, encoding="utf-8").read()) if path else {}
-    for item in overrides or []:
-        if "=" not in item:
-            raise InvalidConfig(item, "--set expects key=value")
-        key, _, value = item.partition("=")
-        try:
-            cfg[key.strip()] = json.loads(value.strip())
-        except json.JSONDecodeError:
-            cfg[key.strip()] = value.strip()
+    lines = []
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    cfg = dict(
+        _parse_pair(line, "expected key = value")
+        for line in map(str.strip, lines) if line and not line.startswith("#")
+    )
+    cfg.update(_parse_pair(item, "--set expects key=value") for item in overrides or [])
     return cfg
 
 
-def _dataclass_from_dict(cls, data: dict, alias=None):
-    alias = alias or {}
+def _dataclass_from_dict(cls, data: dict):
+    """Build cls from settings; an unknown key is a usage error and lists
+    become tuples."""
     known = {f.name for f in dataclass_fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        name = alias.get(key, key)
-        if name not in known:
+    for key in data:
+        if key not in known:
             raise InvalidConfig(key, f"unknown {cls.__name__} option")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 def _sha256(path: str) -> str:
@@ -105,12 +95,14 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _clear_manifest(out_dir: str) -> None:
-    """Remove an old completion marker before a run writes any output."""
-    try:
-        os.remove(os.path.join(out_dir, "manifest.json"))
-    except FileNotFoundError:
-        pass
+def _clear_outputs(out_dir: str, *names: str) -> None:
+    """Remove an old completion marker and the outputs of an earlier run
+    before this run writes any, so a failed run leaves none of them."""
+    for name in ("manifest.json", *names):
+        try:
+            os.remove(os.path.join(out_dir, name))
+        except FileNotFoundError:
+            pass
 
 
 def _write_manifest(out_dir: str, payload: dict) -> None:
@@ -129,7 +121,7 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = _dataclass_from_dict(GenConfig, raw)
-    _clear_manifest(args.out)
+    _clear_outputs(args.out, "events.tsv", "truth.jsonl")
     started = time.time()
     result = generate(cfg, args.out)
     _write_manifest(
@@ -148,11 +140,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    raw = load_config(args.config, args.set)
-    bot_keys = {f.name for f in dataclass_fields(BotFilterConfig)}
-    bot_kwargs = {k: (frozenset(v) if isinstance(v, list) else v) for k, v in raw.items() if k in bot_keys}
-    cfg = BotFilterConfig(**bot_kwargs)
-    _clear_manifest(args.out)
+    cfg = _dataclass_from_dict(BotFilterConfig, load_config(args.config, args.set))
+    _clear_outputs(args.out, "sessions.jsonl")
     started = time.time()
     events = list(read_events(args.input))
     kept, dropped = filter_events(events, cfg)
@@ -192,8 +181,14 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
+ANALYZE_OUTPUTS = (
+    "ccdf.csv", "weekday.csv", "hour.csv", "channels.csv", "devices.csv",
+    "ownership.csv", "transitions.csv", "queries.csv", "report.json",
+)
+
+
 def cmd_analyze(args) -> int:
-    _clear_manifest(args.out)
+    _clear_outputs(args.out, *ANALYZE_OUTPUTS)
     started = time.time()
     sessions = read_sessions(args.input)
     journeys = build_journeys(sessions)
@@ -240,7 +235,7 @@ def cmd_analyze(args) -> int:
         rows.append((group, ">1", _fmt_pct(stats["multi_share"])))
     _write_csv(out("ownership.csv"), "group,devices,percent", rows)
 
-    matrix, support = transition_matrix(journeys.values(), DEVICES, require_purchase_next=True)
+    matrix, support = transition_matrix(journeys.values(), DEVICES)
     rows = []
     for i, src in enumerate(DEVICES):
         for j, dst in enumerate(DEVICES):
@@ -287,19 +282,15 @@ def cmd_analyze(args) -> int:
 
 
 def _protocol_from_config(raw: dict) -> ProtocolConfig:
-    train_keys = {f.name for f in dataclass_fields(TrainConfig)}
-    train_kwargs = {k: v for k, v in raw.items() if k in train_keys and k != "seed"}
-    proto_kwargs = {k: v for k, v in raw.items() if k not in train_kwargs}
-    for key in ("steps", "settings", "variants", "models"):
-        if key in proto_kwargs and isinstance(proto_kwargs[key], list):
-            proto_kwargs[key] = tuple(proto_kwargs[key])
-    known = {f.name for f in dataclass_fields(ProtocolConfig)}
-    unknown = set(proto_kwargs) - known
-    if unknown:
-        raise InvalidConfig(sorted(unknown)[0], "unknown protocol option")
-    cfg = ProtocolConfig(**proto_kwargs)
-    cfg.train = TrainConfig(**train_kwargs)
-    return cfg
+    """TrainConfig fields go to train, the rest to ProtocolConfig. The
+    protocol sets kind and seed per cell, so neither they nor train itself
+    can be set."""
+    train_keys = {f.name for f in dataclass_fields(TrainConfig)} - {"kind", "seed"}
+    proto = {k: v for k, v in raw.items() if k not in train_keys}
+    if "train" in proto:
+        raise InvalidConfig("train", "set training options by name")
+    proto["train"] = _dataclass_from_dict(TrainConfig, {k: v for k, v in raw.items() if k in train_keys})
+    return _dataclass_from_dict(ProtocolConfig, proto)
 
 
 def cmd_evaluate(args) -> int:
@@ -307,7 +298,7 @@ def cmd_evaluate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = _protocol_from_config(raw)
-    _clear_manifest(args.out)
+    _clear_outputs(args.out, "step_report.csv", "importance.csv")
     started = time.time()
     sessions = read_sessions(args.input)
     report = run_protocol(sessions, cfg)
@@ -407,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # environment overrides for CI: SHOPSTREAM_SEED, SHOPSTREAM_THREADS
+    # environment override for CI: SHOPSTREAM_SEED
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and os.environ.get("SHOPSTREAM_SEED"):
         args.seed = int(os.environ["SHOPSTREAM_SEED"])
-    if hasattr(args, "threads") and os.environ.get("SHOPSTREAM_THREADS"):
-        args.threads = int(os.environ["SHOPSTREAM_THREADS"])
     try:
         return args.func(args)
     except IngestError as exc:  # before ValueError: IngestError subclasses it

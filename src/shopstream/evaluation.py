@@ -24,7 +24,6 @@ from .features import (
 )
 from .models import (
     MODEL_KINDS,
-    PERMUTATION_KINDS,
     SCALED_KINDS,
     LengthMismatch,  # re-exported with f1_score
     TrainConfig,
@@ -41,11 +40,11 @@ class TooFewSessions(ValueError):
     pass
 
 
-def kfold_split(ids, labels, k: int, seed: int, stratified: bool = True) -> list[list]:
-    """Split ids into k disjoint folds.
+def kfold_split(ids, labels, k: int, seed: int) -> list[list]:
+    """Split ids into k disjoint stratified folds.
 
-    Stratified splitting shuffles each class separately and deals round-robin,
-    so per-fold positive counts differ by at most 1 from proportional.
+    Each class is shuffled separately and dealt round-robin, so per-fold
+    positive counts differ by at most 1 from proportional.
     """
     ids = list(ids)
     labels = list(labels)
@@ -53,16 +52,11 @@ def kfold_split(ids, labels, k: int, seed: int, stratified: bool = True) -> list
         raise TooFewSessions(f"{len(ids)} ids for {k} folds")
     rng = np.random.default_rng(seed)
     folds: list[list] = [[] for _ in range(k)]
-    if stratified:
-        for cls in (1, 0):
-            members = [i for i, lab in zip(ids, labels) if lab == cls]
-            order = rng.permutation(len(members))
-            for pos, idx in enumerate(order):
-                folds[pos % k].append(members[idx])
-    else:
-        order = rng.permutation(len(ids))
+    for cls in (1, 0):
+        members = [i for i, lab in zip(ids, labels) if lab == cls]
+        order = rng.permutation(len(members))
         for pos, idx in enumerate(order):
-            folds[pos % k].append(ids[idx])
+            folds[pos % k].append(members[idx])
     return folds
 
 
@@ -190,15 +184,19 @@ def _model_seed(master: int, setting: str, fold: int, step: int, variant: str, k
     return int(np.random.SeedSequence(master, spawn_key=key).generate_state(1)[0])
 
 
-def _eligible(sessions, min_pages: int):
-    return [s for s in sessions if s.n_page_views >= min_pages]
-
-
-def _setting_pool(sessions, setting: str, min_pages: int):
-    pool = _eligible(sessions, min_pages)
-    if setting == "identified":
-        pool = [s for s in pool if s.customer_id is not None]
-    return pool
+def _folds(sessions, setting: str, cfg: ProtocolConfig):
+    """The setting's sessions that pass the page filter, and their folds."""
+    pool = [
+        s for s in sessions
+        if s.n_page_views >= cfg.min_pages and (setting != "identified" or s.customer_id is not None)
+    ]
+    if len(pool) < cfg.folds:
+        raise TooFewSessions(
+            f"{setting}: {len(pool)} sessions pass the {cfg.min_pages}-page filter, "
+            f"need >= {cfg.folds}"
+        )
+    labels = [1 if s.purchase else 0 for s in pool]
+    return pool, kfold_split([s.session_id for s in pool], labels, cfg.folds, cfg.seed)
 
 
 def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
@@ -206,7 +204,9 @@ def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
     """Fit context + models on everything outside fold_ids, evaluate inside.
 
     full_journeys are the journeys of all_sessions; held-out rows read their
-    history from them, as at prediction time.
+    history from them, as at prediction time. Returns
+    {(kind, variant, step): (precision, recall, f1, importance) or an error
+    string} and the fold's artifacts (None unless collected).
     """
     eval_set = set(fold_ids)
     train_sessions = [s for s in pool if s.session_id not in eval_set]
@@ -225,101 +225,67 @@ def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
         eval_sessions, full_journeys, ctx, setting, cfg.steps, cfg.min_pages
     )
 
-    cells = []
+    cells = {}
     artifacts = {"context": ctx.to_dict(), "scalers": {}, "models": {}} if collect_artifacts else None
     for step in cfg.steps:
         for variant in cfg.variants:
             X_tr, y_tr = builder_train.matrix(step, variant)
             X_ev, y_ev = builder_eval.matrix(step, variant)
             scaler = Scaler.fit(X_tr)
+            scaled = scaler.transform(X_tr), scaler.transform(X_ev)
             if collect_artifacts:
                 artifacts["scalers"][f"{step}/{variant}"] = scaler.to_dict()
             for kind in cfg.models:
                 seed = _model_seed(cfg.seed, setting, fold_index, step, variant, kind)
-                mcfg = cfg.train.for_kind(kind, seed=seed)
-                scale = kind in SCALED_KINDS
+                X_fit, X_test = scaled if kind in SCALED_KINDS else (X_tr, X_ev)
                 try:
-                    model = fit_model(scaler.transform(X_tr) if scale else X_tr, y_tr, mcfg)
-                    Xe = scaler.transform(X_ev) if scale else X_ev
-                    y_hat = predict(model, Xe)
-                    precision, recall, f1 = f1_score(y_ev, y_hat)
-                    if kind in PERMUTATION_KINDS:
-                        imp = model_importance(model, Xe, y_ev, seed=seed)
-                    else:
-                        imp = model_importance(model)
-                    cells.append(
-                        dict(model=kind, variant=variant, step=step,
-                             precision=precision, recall=recall, f1=f1,
-                             importance=imp, error=None)
-                    )
+                    model = fit_model(X_fit, y_tr, cfg.train.for_kind(kind, seed=seed))
+                    precision, recall, f1 = f1_score(y_ev, predict(model, X_test))
+                    imp = model_importance(model, X_test, y_ev, seed=seed)
+                    cells[kind, variant, step] = (precision, recall, f1, imp)
                     if collect_artifacts:
                         artifacts["models"][f"{step}/{variant}/{kind}"] = model_to_json(model)
                 except Exception as exc:  # a failed cell is reported, not fatal
-                    cells.append(
-                        dict(model=kind, variant=variant, step=step,
-                             precision=None, recall=None, f1=None,
-                             importance=None, error=f"{type(exc).__name__}: {exc}")
-                    )
+                    cells[kind, variant, step] = f"{type(exc).__name__}: {exc}"
     return cells, artifacts
 
 
 def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
-    """Full protocol over every (setting, fold, step, variant, model) cell."""
+    """Full protocol over every (setting, fold, step, variant, model) cell.
+
+    A row averages the folds whose cell succeeded; with none, its numbers
+    are NaN and its importance zero.
+    """
     sessions = list(sessions)
     full_journeys = build_journeys(sessions)
     rows = []
     names = {}
+    nan = float("nan")
     for setting in cfg.settings:
-        for variant in cfg.variants:
-            names[(setting, variant)] = feature_names(setting, variant)
-        pool = _setting_pool(sessions, setting, cfg.min_pages)
-        if len(pool) < cfg.folds:
-            raise TooFewSessions(
-                f"{setting}: {len(pool)} sessions pass the {cfg.min_pages}-page filter, "
-                f"need >= {cfg.folds}"
-            )
-        ids = [s.session_id for s in pool]
-        labels = [1 if s.purchase else 0 for s in pool]
-        folds = kfold_split(ids, labels, cfg.folds, cfg.seed, stratified=True)
+        pool, folds = _folds(sessions, setting, cfg)
         fold_cells = [
             _run_fold(sessions, full_journeys, pool, fold_ids, fold_index, setting, cfg)[0]
             for fold_index, fold_ids in enumerate(folds)
         ]
-
         for variant in cfg.variants:
+            names[setting, variant] = feature_names(setting, variant)
             for step in cfg.steps:
                 for kind in cfg.models:
-                    per_fold = [
-                        c
-                        for cells in fold_cells
-                        for c in cells
-                        if (c["model"], c["variant"], c["step"]) == (kind, variant, step)
-                    ]
-                    ok = [c for c in per_fold if c["error"] is None]
-                    errors = [c["error"] for c in per_fold if c["error"]]
-                    if ok:
-                        f1s = np.array([c["f1"] for c in ok])
-                        imps = np.vstack([c["importance"] for c in ok])
-                        rows.append(
-                            StepReport(
-                                model=kind, setting=setting, variant=variant, step=step,
-                                f1_mean=float(f1s.mean()), f1_std=float(f1s.std()),
-                                precision_mean=float(np.mean([c["precision"] for c in ok])),
-                                recall_mean=float(np.mean([c["recall"] for c in ok])),
-                                importance=imps.mean(axis=0),
-                                n_folds=len(ok), errors=errors,
-                            )
+                    results = [cells[kind, variant, step] for cells in fold_cells]
+                    ok = [r for r in results if not isinstance(r, str)]
+                    precision, recall, f1, imp = zip(*ok) if ok else (
+                        (nan,), (nan,), (nan,), [np.zeros(len(names[setting, variant]))]
+                    )
+                    rows.append(
+                        StepReport(
+                            model=kind, setting=setting, variant=variant, step=step,
+                            f1_mean=float(np.mean(f1)), f1_std=float(np.std(f1)),
+                            precision_mean=float(np.mean(precision)),
+                            recall_mean=float(np.mean(recall)),
+                            importance=np.mean(imp, axis=0),
+                            n_folds=len(ok), errors=[r for r in results if isinstance(r, str)],
                         )
-                    else:
-                        rows.append(
-                            StepReport(
-                                model=kind, setting=setting, variant=variant, step=step,
-                                f1_mean=float("nan"), f1_std=float("nan"),
-                                precision_mean=float("nan"), recall_mean=float("nan"),
-                                importance=np.zeros(len(names[(setting, variant)])),
-                                n_folds=0, errors=errors,
-                            )
-                        )
+                    )
     return ProtocolReport(rows=rows, names=names)
 
 
@@ -328,10 +294,7 @@ def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
     """Serialized fold-fitted statistics (chains, conversion table, scalers,
     model parameters) for one fold; used to verify leakage freedom."""
     sessions = list(sessions)
-    pool = _setting_pool(sessions, setting, cfg.min_pages)
-    ids = [s.session_id for s in pool]
-    labels = [1 if s.purchase else 0 for s in pool]
-    folds = kfold_split(ids, labels, cfg.folds, cfg.seed, stratified=True)
+    pool, folds = _folds(sessions, setting, cfg)
     _, artifacts = _run_fold(
         sessions, build_journeys(sessions), pool, folds[fold_index], fold_index, setting, cfg,
         collect_artifacts=True,

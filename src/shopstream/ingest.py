@@ -165,15 +165,10 @@ def filter_events(events: Iterable[RawEvent], cfg: BotFilterConfig) -> tuple[lis
     return kept, dropped
 
 
-def sessionize(
-    events: Iterable[RawEvent],
-    idle_gap_ms: int = IDLE_GAP_MS,
-    min_events: int = 2,
-    max_events: int = 2000,
-):
+def sessionize(events: Iterable[RawEvent], min_events: int = 2, max_events: int = 2000):
     """Group events into idle-bounded sessions.
 
-    Consecutive events of one client with an inter-event gap <= idle_gap_ms
+    Consecutive events of one client with an inter-event gap <= IDLE_GAP_MS
     share a session; a strictly larger gap starts a new one. A session is a
     purchase session iff any of its events is a Purchase. If any event
     carries a customer_id the whole session is assigned to that customer
@@ -205,7 +200,7 @@ def sessionize(
         start = 0
         runs = []
         for i in range(1, len(evs)):
-            if evs[i].timestamp - evs[i - 1].timestamp > idle_gap_ms:
+            if evs[i].timestamp - evs[i - 1].timestamp > IDLE_GAP_MS:
                 runs.append(evs[start:i])
                 start = i
         runs.append(evs[start:])

@@ -103,11 +103,11 @@ def class_score(purchase_chain: MarkovChain, nonpurchase_chain: MarkovChain, seq
     return log_likelihood(purchase_chain, seq) - log_likelihood(nonpurchase_chain, seq)
 
 
-def transition_matrix(journeys, devices: Sequence[str], require_purchase_next: bool = True):
+def transition_matrix(journeys, devices: Sequence[str]):
     """Empirical device-to-device transition probabilities between sessions.
 
-    Counts consecutive session pairs (optionally only those whose second
-    session is a purchase session). Rows without support are NaN rather than
+    Counts consecutive session pairs whose second session is a purchase
+    session. Rows without support are NaN rather than
     uniform. Returns (matrix, support) where support[i] is the number of
     observed pairs leaving device i.
     """
@@ -117,7 +117,7 @@ def transition_matrix(journeys, devices: Sequence[str], require_purchase_next: b
     for j in journeys:
         sess = j.sessions
         for prev, nxt in zip(sess, sess[1:]):
-            if require_purchase_next and not nxt.purchase:
+            if not nxt.purchase:
                 continue
             counts[dev_index[prev.device], dev_index[nxt.device]] += 1
     support = counts.sum(axis=1)

@@ -25,8 +25,8 @@ ARTIFACT_VERSION = 1
 
 # models whose features should be z-scored by the caller
 SCALED_KINDS = frozenset({"lr", "svm", "knn", "mlp"})
-# models whose importances come from permutation on held-out data
-PERMUTATION_KINDS = frozenset({"knn", "mlp"})
+# shuffles per feature in permutation importance
+N_SHUFFLES = 5
 
 
 class SingleClassTraining(ValueError):
@@ -160,8 +160,7 @@ def f1_score(y_true, y_pred) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def permutation_importance(model, X: np.ndarray, y: np.ndarray,
-                           n_shuffles: int = 5, seed: int = 0) -> np.ndarray:
+def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
     """Mean F1 drop per shuffled feature, clipped at 0 and normalized."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -170,22 +169,22 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray,
     drops = np.zeros(X.shape[1])
     for j in range(X.shape[1]):
         acc = 0.0
-        for _ in range(n_shuffles):
+        for _ in range(N_SHUFFLES):
             Xp = X.copy()
             Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
             acc += base - f1_score(y, predict(model, Xp))[2]
-        drops[j] = acc / n_shuffles
+        drops[j] = acc / N_SHUFFLES
     drops = np.clip(drops, 0.0, None)
     total = drops.sum()
     return drops / total if total > 0 else drops
 
 
-def importance(model, X_holdout=None, y_holdout=None, n_shuffles: int = 5, seed: int = 0) -> np.ndarray:
+def importance(model, X_holdout=None, y_holdout=None, seed: int = 0) -> np.ndarray:
     """Normalized importance vector for any model kind.
 
     Trees report mean decrease in weighted impurity; linear models the
     absolute coefficients (meaningful over standardized features); KNN and
-    MLP need held-out data for permutation importance.
+    MLP need held-out data for permutation importance, which the others ignore.
     """
     kind = model.kind
     if kind in ("rf", "gbdt"):
@@ -196,7 +195,7 @@ def importance(model, X_holdout=None, y_holdout=None, n_shuffles: int = 5, seed:
         return mag / total if total > 0 else mag
     if X_holdout is None or y_holdout is None:
         raise ValueError(f"{kind} importances require held-out data")
-    return permutation_importance(model, X_holdout, y_holdout, n_shuffles, seed)
+    return permutation_importance(model, X_holdout, y_holdout, seed)
 
 
 _CLASSES = {

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .ingest import MalformedLine, RawEvent
+from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum
 
-IDLE_GAP_SECONDS = 30 * 60
 MS_PER_DAY = 86_400_000.0
 
 
@@ -205,6 +204,9 @@ def session_to_json(s: Session) -> str:
 
 
 def session_from_json(line: str) -> Session:
+    """Decode one sessions.jsonl record. Values must be the canonical ones
+    the writer emits: an empty event list raises MalformedLine and a device,
+    channel, action or page type outside ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
     country = rec.get("country", "")
     events = tuple(
@@ -222,6 +224,17 @@ def session_from_json(line: str) -> Session:
         )
         for ts, action, page_type, query, price in rec["events"]
     )
+    if not events:
+        raise MalformedLine("session has no events")
+    for what, values, alphabet in (
+        ("device", {rec["device"]}, DEVICES),
+        ("channel", {rec["channel"]}, CHANNELS),
+        ("action", {e.action for e in events}, ACTIONS),
+        ("page_type", {e.page_type for e in events}, PAGE_TYPES),
+    ):
+        unknown = values.difference(alphabet)
+        if unknown:
+            raise UnknownEnum(f"unknown {what} {min(unknown)!r}")
     return Session(
         session_id=rec["session_id"],
         client_token=rec["client_token"],

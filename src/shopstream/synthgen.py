@@ -28,15 +28,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent, sessionize
+from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, RawEvent, sessionize
 
 MS_PER_SECOND = 1000
 MS_PER_MINUTE = 60_000
-MS_PER_HOUR = 3_600_000
-MS_PER_DAY = 86_400_000
-CET_OFFSET_MS = MS_PER_HOUR
-IDLE_GAP_MS = 30 * MS_PER_MINUTE
-_EPOCH_WEEKDAY = 3  # 1970-01-01 is a Thursday
 
 # 2019-10-01 00:00 CET
 WINDOW_START_MS = int(datetime(2019, 9, 30, 23, 0, tzinfo=timezone.utc).timestamp() * 1000)

@@ -75,6 +75,29 @@ def test_ingest_pipeline(gen_dir, tmp_path):
     assert manifest["anonymous_sessions"] + manifest["identified_sessions"] == len(truth)
 
 
+def test_ingest_allowed_countries_override(gen_dir, tmp_path):
+    out = tmp_path / "ingest"
+    assert main(["ingest", str(gen_dir / "events.tsv"), "--out", str(out),
+                 "--set", 'allowed_countries=["XX"]']) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["events_dropped"] == manifest["events_read"] > 0
+    assert manifest["sessions"] == 0
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("generate", "n_customerz=30"),
+    ("ingest", 'allowed_countrys=["XX"]'),
+    ("evaluate", "fold=3"),
+    ("evaluate", "kind=bogus"),  # the protocol sets the kind per cell
+    ("evaluate", "train={}"),  # training options are set by name
+])
+def test_unknown_config_key_exit_2(tmp_path, capsys, command, setting):
+    # settings are checked before any input is read: the input need not exist
+    inputs = [] if command == "generate" else [str(tmp_path / "missing")]
+    assert main([command, *inputs, "--set", setting, "--out", str(tmp_path / "out")]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
 def test_ingest_malformed_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("1000\tC1\tPC\n")  # wrong column count
@@ -188,16 +211,25 @@ def _bad_sessions(sessions_file, tmp_path, case):
         second = second[: len(second) // 2]
     elif case == "not_an_object":
         second = "[1, 2]"
-    else:
+    elif case == "missing_events":
         record = json.loads(second)
         del record["events"]
         second = json.dumps(record)
+    elif case == "empty_events":
+        record = json.loads(second)
+        record["events"] = []
+        second = json.dumps(record)
+    elif case == "unknown_device":
+        second = second.replace(f'"device":"{json.loads(second)["device"]}"', '"device":"Fridge"')
+    elif case == "unknown_action":
+        second = second.replace('"PageView"', '"Teleport"', 1)
     bad = tmp_path / f"{case}.jsonl"
     bad.write_text(first + "\n" + second + "\n")
     return bad
 
 
-@pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object"])
+@pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object",
+                                  "empty_events", "unknown_device", "unknown_action"])
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
 def test_bad_sessions_record_exit_3_with_line(sessions_file, tmp_path, capsys, command, case):
     bad = _bad_sessions(sessions_file, tmp_path, case)
@@ -212,6 +244,7 @@ def test_failed_rerun_leaves_no_stale_manifest(sessions_file, tmp_path):
     bad = _bad_sessions(sessions_file, tmp_path, "truncated")
     assert main(["analyze", str(bad), "--out", str(out)]) == 3
     assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
 def test_report_best_step_skips_failed_steps(tmp_path, capsys):

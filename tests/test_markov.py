@@ -165,7 +165,7 @@ def test_transition_matrix_matches_brute_force():
         devs = [devices[int(i)] for i in rng.integers(0, 3, size=n)]
         buys = [bool(rng.random() < 0.4) for _ in range(n)]
         journeys.append(_mini_journey(f"u{c}", devs, buys))
-    matrix, support = transition_matrix(journeys, devices, require_purchase_next=True)
+    matrix, support = transition_matrix(journeys, devices)
     counts = {(a, b): 0 for a in devices for b in devices}
     for j in journeys:
         for prev, nxt in zip(j.sessions, j.sessions[1:]):

@@ -215,7 +215,7 @@ def test_permutation_importance_noise_feature_small():
     X_test = rng.normal(size=(200, 3))
     y_test = (X_test[:, 0] > 0).astype(np.int64)
     model = fit(X, y, _fast_cfg("mlp"))
-    imp = permutation_importance(model, X_test, y_test, n_shuffles=5, seed=3)
+    imp = permutation_importance(model, X_test, y_test, seed=3)
     assert imp[0] >= 0.8
     assert imp[1] <= 0.05 and imp[2] <= 0.05
 

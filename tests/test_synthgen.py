@@ -227,7 +227,7 @@ def test_transitions_planting_matches_configured_rate():
                     device_transitions={k: dict(v) for k, v in DEVICE_TRANSITIONS_EXAMPLE.items()})
     sessions, _ = generate_sessions(cfg)
     journeys = build_journeys(sessions)
-    matrix, support = markov.transition_matrix(journeys.values(), DEVICES, require_purchase_next=True)
+    matrix, support = markov.transition_matrix(journeys.values(), DEVICES)
     tv, pc = DEVICES.index("TV"), DEVICES.index("PC")
     assert support.sum() >= 50_000
     assert matrix[tv, pc] == pytest.approx(0.4375, abs=0.02)
