@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import MISSING, fields as dataclass_fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .ingest import (
     DEVICES,
     BotFilterConfig,
     IngestError,
+    MalformedLine,
     filter_events,
     read_events,
     sessionize,
@@ -78,12 +79,22 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def _dataclass_from_dict(cls, data: dict):
-    """Build cls from settings; an unknown key is a usage error and lists
-    become tuples."""
-    known = {f.name for f in dataclass_fields(cls)}
-    for key in data:
-        if key not in known:
+    """Build cls from settings. An unknown key, or a value whose JSON type is
+    not that of the field's default (a list for a tuple or frozenset; any
+    value for None), is a usage error; lists become tuples."""
+    defaults = {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in dataclass_fields(cls)
+    }
+    for key, value in data.items():
+        if key not in defaults:
             raise InvalidConfig(key, f"unknown {cls.__name__} option")
+        default = defaults[key]
+        want = list if isinstance(default, (tuple, frozenset)) else type(default)
+        # exact types: a bool is not an int, but an int is a float
+        ok = type(value) is want or (want is float and type(value) is int)
+        if default is not None and not ok:
+            raise InvalidConfig(key, f"expected {want.__name__}, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
@@ -332,23 +343,29 @@ def cmd_report(args) -> int:
     if not os.path.exists(step_path):
         print(f"no step_report.csv under {args.out}", file=sys.stderr)
         return EXIT_DATA
-    rows = []
+    seen = {}
     with open(step_path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
-            rows.append(dict(zip(header, line.strip().split(","))))
-    if not rows:
+        for line_no, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise MalformedLine(f"{len(cells)} columns, header has {len(header)}", line_no)
+            r = dict(zip(header, cells))
+            try:
+                key = (r["model"], r["setting"], r["variant"])
+                step, f1 = int(r["step"]), float(r["f1_mean"])
+            except (KeyError, ValueError) as exc:
+                raise MalformedLine(f"bad row: {type(exc).__name__}: {exc}", line_no) from None
+            pairs = seen.setdefault(key, [])
+            if not math.isnan(f1):  # a step whose every fold failed has no F1
+                pairs.append((step, f1))
+    if not seen:
         print("empty report")
         return EXIT_OK
     print(f"{'model':<6} {'setting':<11} {'variant':<9} {'mean F1':<9} best-step F1")
-    seen = {}
-    for r in rows:
-        f1 = float(r["f1_mean"])
-        if math.isnan(f1):  # a step whose every fold failed has no F1
-            continue
-        key = (r["model"], r["setting"], r["variant"])
-        seen.setdefault(key, []).append((int(r["step"]), f1))
     for (model, setting, variant), pairs in sorted(seen.items()):
+        if not pairs:
+            continue
         best_step, best = max(pairs, key=lambda p: p[1])
         mean = np.mean([f for _, f in pairs])
         print(f"{model:<6} {setting:<11} {variant:<9} {mean:<9.4f} {best:.4f} @ step {best_step}")

@@ -199,9 +199,10 @@ def _folds(sessions, setting: str, cfg: ProtocolConfig):
     return pool, kfold_split([s.session_id for s in pool], labels, cfg.folds, cfg.seed)
 
 
-def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
+def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
               cfg: ProtocolConfig, collect_artifacts: bool = False):
-    """Fit context + models on everything outside fold_ids, evaluate inside.
+    """Fit context + models on the builder's sessions outside fold_ids,
+    evaluate inside.
 
     full_journeys are the journeys of all_sessions; held-out rows read their
     history from them, as at prediction time. Returns
@@ -209,34 +210,31 @@ def _run_fold(all_sessions, full_journeys, pool, fold_ids, fold_index, setting,
     string} and the fold's artifacts (None unless collected).
     """
     eval_set = set(fold_ids)
-    train_sessions = [s for s in pool if s.session_id not in eval_set]
-    eval_sessions = [s for s in pool if s.session_id in eval_set]
+    held = np.array([s.session_id in eval_set for s in builder.sessions], dtype=bool)
+    train_rows, eval_rows = np.flatnonzero(~held), np.flatnonzero(held)
     # journeys may draw on sessions below the page filter (they are history,
     # not protocol rows) but never on held-out sessions
     train_journeys = build_journeys(
         s for s in all_sessions if s.session_id not in eval_set
     )
-    ctx = fit_feature_context(train_sessions, train_journeys, cfg.markov_alpha)
-
-    builder_train = StepMatrixBuilder(
-        train_sessions, train_journeys, ctx, setting, cfg.steps, cfg.min_pages
+    ctx = fit_feature_context(
+        [builder.sessions[i] for i in train_rows], train_journeys, cfg.markov_alpha
     )
-    builder_eval = StepMatrixBuilder(
-        eval_sessions, full_journeys, ctx, setting, cfg.steps, cfg.min_pages
-    )
+    train = builder.fold(train_rows, train_journeys, ctx)
+    held_out = builder.fold(eval_rows, full_journeys, ctx)
 
     cells = {}
     artifacts = {"context": ctx.to_dict(), "scalers": {}, "models": {}} if collect_artifacts else None
     for step in cfg.steps:
         for variant in cfg.variants:
-            X_tr, y_tr = builder_train.matrix(step, variant)
-            X_ev, y_ev = builder_eval.matrix(step, variant)
+            X_tr, y_tr = builder.matrix(step, variant, train)
+            X_ev, y_ev = builder.matrix(step, variant, held_out)
             scaler = Scaler.fit(X_tr)
             scaled = scaler.transform(X_tr), scaler.transform(X_ev)
             if collect_artifacts:
                 artifacts["scalers"][f"{step}/{variant}"] = scaler.to_dict()
             for kind in cfg.models:
-                seed = _model_seed(cfg.seed, setting, fold_index, step, variant, kind)
+                seed = _model_seed(cfg.seed, builder.setting, fold_index, step, variant, kind)
                 X_fit, X_test = scaled if kind in SCALED_KINDS else (X_tr, X_ev)
                 try:
                     model = fit_model(X_fit, y_tr, cfg.train.for_kind(kind, seed=seed))
@@ -263,8 +261,9 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
     nan = float("nan")
     for setting in cfg.settings:
         pool, folds = _folds(sessions, setting, cfg)
+        builder = StepMatrixBuilder(pool, setting, cfg.steps, cfg.min_pages)
         fold_cells = [
-            _run_fold(sessions, full_journeys, pool, fold_ids, fold_index, setting, cfg)[0]
+            _run_fold(sessions, full_journeys, builder, fold_ids, fold_index, cfg)[0]
             for fold_index, fold_ids in enumerate(folds)
         ]
         for variant in cfg.variants:
@@ -295,8 +294,9 @@ def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
     model parameters) for one fold; used to verify leakage freedom."""
     sessions = list(sessions)
     pool, folds = _folds(sessions, setting, cfg)
+    builder = StepMatrixBuilder(pool, setting, cfg.steps, cfg.min_pages)
     _, artifacts = _run_fold(
-        sessions, build_journeys(sessions), pool, folds[fold_index], fold_index, setting, cfg,
+        sessions, build_journeys(sessions), builder, folds[fold_index], fold_index, cfg,
         collect_artifacts=True,
     )
     return json.dumps(artifacts, sort_keys=True, separators=(",", ":"))

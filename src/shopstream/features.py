@@ -177,6 +177,35 @@ def device_conversion_feature(ctx: FeatureContext, device: str) -> float:
     return ctx.device_conversion.get(device, ctx.global_conversion)
 
 
+def _session_columns(s: Session) -> list[float]:
+    """Channel one-hot, CET start hour, weekday one-hot and device one-hot."""
+    weekday, hour = session_start_cet(s)
+    return (
+        [1.0 if s.channel == c else 0.0 for c in CHANNELS]
+        + [float(hour)]
+        + [1.0 if weekday == i else 0.0 for i in range(7)]
+        + [1.0 if s.device == d else 0.0 for d in DEVICES]
+    )
+
+
+def _history_columns(s: Session, j: Journey, ctx: FeatureContext) -> list[float]:
+    """The history block in catalog order, from j's sessions before s."""
+    hist = history_snapshot(j, s.start_time)
+    device_score = markov.class_score(
+        ctx.device_chain_purchase,
+        ctx.device_chain_nonpurchase,
+        hist.device_sequence + [s.device],
+    )
+    return [
+        float(hist.orders),
+        hist.days_since_last_purchase,
+        float(hist.n_sessions),
+        float(hist.n_devices),
+        device_score,
+        hist.switch_probability,
+    ]
+
+
 def extract(
     s: Session,
     j: Optional[Journey],
@@ -204,133 +233,90 @@ def extract(
         ctx.page_chain_purchase, ctx.page_chain_nonpurchase, s.page_type_sequence(step)
     )
     row = [stats.mean, stats.std, page_score, float(step), float(stats.count)]
-
     if variant == "extended":
-        weekday, hour = session_start_cet(s)
-        row += [1.0 if s.channel == c else 0.0 for c in CHANNELS]
-        row.append(float(hour))
-        row += [1.0 if weekday == i else 0.0 for i in range(7)]
-        row += [1.0 if s.device == d else 0.0 for d in DEVICES]
-        row.append(device_conversion_feature(ctx, s.device))
-
+        row += _session_columns(s) + [device_conversion_feature(ctx, s.device)]
     if setting == "identified":
-        hist = history_snapshot(j, s.start_time)
-        device_score = markov.class_score(
-            ctx.device_chain_purchase,
-            ctx.device_chain_nonpurchase,
-            hist.device_sequence + [s.device],
-        )
-        row += [float(hist.orders), hist.days_since_last_purchase]
-        if variant == "extended":
-            row += [
-                float(hist.n_sessions),
-                float(hist.n_devices),
-                device_score,
-                hist.switch_probability,
-            ]
+        history = _history_columns(s, j, ctx)
+        row += history if variant == "extended" else history[:2]
     return np.array(row, dtype=np.float64)
 
 
 class StepMatrixBuilder:
-    """Precomputes per-session prefix statistics so matrices for many steps
-    come out in one pass. Produces exactly the same rows as extract()."""
+    """Feature matrices of one setting's sessions at many steps.
 
-    def __init__(self, sessions, journeys, ctx, setting, steps, min_pages: int = 12):
+    The constructor computes what depends on the sessions alone, once:
+    labels, dwell prefix statistics, the page-type pairs the steps score and
+    the channel/hour/weekday/device block. fold() computes the columns fitted
+    on a fold for some of the sessions, and matrix() stacks both. Produces
+    exactly the same rows as extract()."""
+
+    def __init__(self, sessions, setting, steps, min_pages: int = 12):
         self.sessions = list(sessions)
         self.setting = setting
         self.steps = list(steps)
-        self.ctx = ctx
         n = len(self.sessions)
-        k = len(self.steps)
         self.labels = np.array([1 if s.purchase else 0 for s in self.sessions], dtype=np.int64)
-
-        self.dyn = {
-            "mean": np.zeros((n, k)),
-            "std": np.zeros((n, k)),
-            "score": np.zeros((n, k)),
-            "pages": np.zeros((n, k)),
-            "count": np.zeros((n, k)),
-        }
-        lp = ctx.page_chain_purchase._log_probs
-        ln = ctx.page_chain_nonpurchase._log_probs
-        page_index = ctx.page_chain_purchase.index
+        # per (session, step): dwell mean, dwell std, n_pages, dwell count;
+        # and the number of page transitions the page-sequence score averages
+        self.dyn = np.zeros((n, len(self.steps), 4))
+        self.n_scored = np.zeros((n, len(self.steps)), dtype=np.int64)
+        # from/to page-type codes of the transitions the largest step scores
+        width = max(max(self.steps) - 1, 0)
+        self.pairs = np.zeros((2, n, width), dtype=np.int64)
+        self.static = np.zeros((n, len(_static_session_block()) - 1))
+        page_index = {p: i for i, p in enumerate(PAGE_TYPES)}
         for i, s in enumerate(self.sessions):
-            if min_pages and s.n_page_views < min_pages:
+            n_pv = s.n_page_views
+            if min_pages and n_pv < min_pages:
                 raise ShortSession(f"session {s.session_id} has too few page views")
             dwells = dwell_times(s)
             csum = np.concatenate([[0.0], np.cumsum(dwells)])
             csq = np.concatenate([[0.0], np.cumsum(np.square(dwells))])
-            seq = [page_index[p] for p in s.page_type_sequence()]
-            if len(seq) >= 2:
-                pairs = np.array(
-                    [lp[a, b] - ln[a, b] for a, b in zip(seq, seq[1:])]
-                )
-                score_csum = np.concatenate([[0.0], np.cumsum(pairs)])
-            else:
-                score_csum = np.zeros(1)
-            for c, step in enumerate(self.steps):
-                m = min(step, len(dwells))
-                if m > 0:
-                    mean = csum[m] / m
-                    var = max(csq[m] / m - mean * mean, 0.0)
-                    self.dyn["mean"][i, c] = mean
-                    self.dyn["std"][i, c] = np.sqrt(var)
-                self.dyn["count"][i, c] = m
-                self.dyn["pages"][i, c] = step
-                t = min(step, len(seq)) - 1
-                if t >= 1 and t < len(score_csum):
-                    self.dyn["score"][i, c] = score_csum[t] / t
+            m = np.minimum(self.steps, len(dwells))
+            mean = csum[m] / np.maximum(m, 1)  # 0 at m = 0
+            std = np.sqrt(np.maximum(csq[m] / np.maximum(m, 1) - mean * mean, 0.0))
+            self.dyn[i] = np.column_stack([mean, std, self.steps, m])
+            self.n_scored[i] = np.maximum(np.minimum(self.steps, n_pv) - 1, 0)
+            seq = [page_index[p] for p in s.page_type_sequence(width + 1)]
+            t = max(len(seq) - 1, 0)
+            self.pairs[:, i, :t] = seq[:t], seq[1:]
+            self.static[i] = _session_columns(s)
 
-        self.static = np.zeros((n, len(_static_session_block())))
-        for i, s in enumerate(self.sessions):
-            weekday, hour = session_start_cet(s)
-            col = 0
-            for c in CHANNELS:
-                self.static[i, col] = 1.0 if s.channel == c else 0.0
-                col += 1
-            self.static[i, col] = hour
-            col += 1
-            for w in range(7):
-                self.static[i, col] = 1.0 if weekday == w else 0.0
-                col += 1
-            for d in DEVICES:
-                self.static[i, col] = 1.0 if s.device == d else 0.0
-                col += 1
-            self.static[i, col] = device_conversion_feature(ctx, s.device)
-
-        if setting == "identified":
-            self.history = np.zeros((n, 6))
-            for i, s in enumerate(self.sessions):
+    def fold(self, rows, journeys, ctx: FeatureContext) -> dict:
+        """Columns fitted on a fold for the sessions at rows: the page-sequence
+        score at every step, the device conversion rate and, when identified,
+        the history block with each session's history read from journeys."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lp = ctx.page_chain_purchase._log_probs
+        ln = ctx.page_chain_nonpurchase._log_probs
+        a, b = self.pairs[0, rows], self.pairs[1, rows]
+        csum = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(lp[a, b] - ln[a, b], axis=1)], axis=1)
+        t = self.n_scored[rows]
+        fitted = {
+            "rows": rows,
+            "score": np.take_along_axis(csum, t, axis=1) / np.maximum(t, 1),  # 0 at t = 0
+            "conversion": np.array(
+                [device_conversion_feature(ctx, self.sessions[i].device) for i in rows]
+            ).reshape(-1, 1),
+        }
+        if self.setting == "identified":
+            fitted["history"] = np.zeros((len(rows), 6))
+            for r, i in enumerate(rows):
+                s = self.sessions[i]
                 j = journeys.get(s.customer_id)
                 if j is None:
                     raise MissingJourney(f"no journey for session {s.session_id}")
-                hist = history_snapshot(j, s.start_time)
-                device_score = markov.class_score(
-                    ctx.device_chain_purchase,
-                    ctx.device_chain_nonpurchase,
-                    hist.device_sequence + [s.device],
-                )
-                self.history[i] = [
-                    hist.orders,
-                    hist.days_since_last_purchase,
-                    hist.n_sessions,
-                    hist.n_devices,
-                    device_score,
-                    hist.switch_probability,
-                ]
+                fitted["history"][r] = _history_columns(s, j, ctx)
+        return fitted
 
-    def matrix(self, step: int, variant: str):
-        """(X, y) for one step; column order matches catalog()."""
+    def matrix(self, step: int, variant: str, fold: dict):
+        """(X, y) of fold's rows at one step; column order matches catalog()."""
         c = self.steps.index(step)
-        blocks = [
-            self.dyn["mean"][:, c : c + 1],
-            self.dyn["std"][:, c : c + 1],
-            self.dyn["score"][:, c : c + 1],
-            self.dyn["pages"][:, c : c + 1],
-            self.dyn["count"][:, c : c + 1],
-        ]
+        rows = fold["rows"]
+        dyn = self.dyn[rows, c]
+        blocks = [dyn[:, :2], fold["score"][:, c : c + 1], dyn[:, 2:]]
         if variant == "extended":
-            blocks.append(self.static)
+            blocks += [self.static[rows], fold["conversion"]]
         if self.setting == "identified":
-            blocks.append(self.history if variant == "extended" else self.history[:, :2])
-        return np.hstack(blocks), self.labels
+            blocks.append(fold["history"] if variant == "extended" else fold["history"][:, :2])
+        return np.hstack(blocks), self.labels[rows]

@@ -92,14 +92,6 @@ class Journey:
     def __post_init__(self):
         self.sessions = sorted(self.sessions, key=lambda s: (s.start_time, s.session_id))
 
-    @property
-    def inter_session_gaps(self) -> list[float]:
-        """Seconds between one session's last event and the next one's first."""
-        out = []
-        for prev, nxt in zip(self.sessions, self.sessions[1:]):
-            out.append((nxt.start_time - prev.end_time) / 1000.0)
-        return out
-
 
 def build_journeys(sessions) -> dict[str, Journey]:
     """Group identified sessions into journeys keyed by customer_id."""

@@ -90,6 +90,12 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("evaluate", "fold=3"),
     ("evaluate", "kind=bogus"),  # the protocol sets the kind per cell
     ("evaluate", "train={}"),  # training options are set by name
+    ("evaluate", "steps=5"),  # values must have the type of the field's default
+    ("evaluate", 'folds="3"'),
+    ("evaluate", 'models="lr"'),
+    ("generate", 'n_customers="30"'),
+    ("generate", "n_customers=true"),
+    ("ingest", "allowed_countries=NL"),
 ])
 def test_unknown_config_key_exit_2(tmp_path, capsys, command, setting):
     # settings are checked before any input is read: the input need not exist
@@ -245,6 +251,24 @@ def test_failed_rerun_leaves_no_stale_manifest(sessions_file, tmp_path):
     assert main(["analyze", str(bad), "--out", str(out)]) == 3
     assert not (out / "manifest.json").exists()
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("row", [
+    "lr,anonymous,baseline,1,abc,0.010000,0.200000,0.300000",  # f1_mean does not parse
+    "lr,anonymous,baseline,1",  # short row
+])
+def test_report_malformed_row_exit_3_with_line(tmp_path, capsys, row):
+    out = tmp_path / "ev"
+    out.mkdir()
+    (out / "step_report.csv").write_text(
+        "model,setting,variant,step,f1_mean,f1_std,precision,recall\n"
+        "lr,anonymous,baseline,0,0.250000,0.010000,0.200000,0.300000\n"
+        f"{row}\n"
+    )
+    assert main(["report", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err
+    assert captured.out == ""
 
 
 def test_report_best_step_skips_failed_steps(tmp_path, capsys):

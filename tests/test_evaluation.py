@@ -146,6 +146,25 @@ def test_run_protocol_shapes_all_models():
     assert set(report.names[("anonymous", "baseline")]) < set(report.names[("anonymous", "extended")])
 
 
+def test_one_step_matrix_builder_per_setting(monkeypatch):
+    from shopstream import evaluation
+
+    built = []
+    real = evaluation.StepMatrixBuilder
+
+    def counting(sessions, setting, *args, **kwargs):
+        built.append(setting)
+        return real(sessions, setting, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "StepMatrixBuilder", counting)
+    sessions = _corpus(np.random.default_rng(49), n_sessions=40)
+    cfg = ProtocolConfig(steps=(0, 2), folds=4, models=("lr",), seed=3, train=_small_train())
+    run_protocol(sessions, cfg)
+    assert built == ["anonymous", "identified"]
+    fold_artifacts(sessions, cfg, "identified", 1)
+    assert built[2:] == ["identified"]
+
+
 def test_run_protocol_learns_planted_channel_signal():
     rng = np.random.default_rng(41)
     sessions = _corpus(rng, n_sessions=120, signal="channel")

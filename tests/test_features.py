@@ -191,10 +191,11 @@ def test_builder_matches_extract_all_configs():
     steps = list(range(11))
     for setting in ("anonymous", "identified"):
         subset = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
-        builder = StepMatrixBuilder(subset, journeys, ctx, setting, steps, min_pages=12)
+        builder = StepMatrixBuilder(subset, setting, steps, min_pages=12)
+        fold = builder.fold(np.arange(len(subset)), journeys, ctx)
         for variant in ("baseline", "extended"):
             for step in (0, 1, 5, 10):
-                X, y = builder.matrix(step, variant)
+                X, y = builder.matrix(step, variant, fold)
                 assert np.array_equal(y, [1 if s.purchase else 0 for s in subset])
                 for i, s in enumerate(subset):
                     j = journeys.get(s.customer_id) if s.customer_id else None
@@ -202,17 +203,59 @@ def test_builder_matches_extract_all_configs():
                     assert np.allclose(X[i], ref, atol=1e-12), (setting, variant, step, i)
 
 
+def test_builder_fold_rows_match_extract_with_their_journeys():
+    # built once over the corpus; a fold's training rows read journeys built
+    # without the held-out sessions, its held-out rows the full journeys
+    rng = np.random.default_rng(321)
+    sessions = _random_corpus(rng, 36)
+    held = {s.session_id for i, s in enumerate(sessions) if i % 4 == 1}
+    full_journeys = build_journeys(sessions)
+    train_journeys = build_journeys(s for s in sessions if s.session_id not in held)
+    steps = (1, 2, 7, 12)
+    for setting in ("anonymous", "identified"):
+        pool = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
+        builder = StepMatrixBuilder(pool, setting, steps, min_pages=13)
+        train_rows = [i for i, s in enumerate(pool) if s.session_id not in held]
+        held_rows = [i for i, s in enumerate(pool) if s.session_id in held]
+        assert train_rows != list(range(len(train_rows)))  # not a contiguous block
+        ctx = fit_feature_context([pool[i] for i in train_rows], train_journeys)
+        for rows, journeys in ((train_rows, train_journeys), (held_rows, full_journeys)):
+            fold = builder.fold(rows, journeys, ctx)
+            for variant in ("baseline", "extended"):
+                for step in steps:
+                    X, y = builder.matrix(step, variant, fold)
+                    assert X.shape == (len(rows), len(feature_names(setting, variant)))
+                    assert np.array_equal(y, [1 if pool[i].purchase else 0 for i in rows])
+                    for r, i in enumerate(rows):
+                        s = pool[i]
+                        j = journeys.get(s.customer_id) if s.customer_id else None
+                        ref = extract(s, j, step, setting, variant, ctx, min_pages=13)
+                        assert np.allclose(X[r], ref, atol=1e-12), (setting, variant, step, i)
+
+
+def test_builder_errors():
+    rng = np.random.default_rng(9)
+    sessions = _random_corpus(rng, 4, customer_share=0.0)
+    with pytest.raises(ShortSession):
+        StepMatrixBuilder(sessions, "anonymous", (0, 5), min_pages=40)
+    builder = StepMatrixBuilder(sessions, "identified", (0, 5), min_pages=12)
+    ctx = fit_feature_context(sessions, {})
+    with pytest.raises(MissingJourney):
+        builder.fold([0], {}, ctx)
+
+
 def test_builder_step_monotonicity():
     rng = np.random.default_rng(5)
     sessions = _random_corpus(rng, 12, customer_share=0.0)
     ctx = fit_feature_context(sessions, {})
-    builder = StepMatrixBuilder(sessions, {}, ctx, "anonymous", list(range(11)), min_pages=12)
+    builder = StepMatrixBuilder(sessions, "anonymous", list(range(11)), min_pages=12)
+    fold = builder.fold(np.arange(len(sessions)), {}, ctx)
     names = feature_names("anonymous", "extended")
     static_cols = [i for i, n in enumerate(names) if static_mask("anonymous", "extended")[i]]
     count_col = names.index("dwell_count")
     prev = None
     for step in range(11):
-        X, _ = builder.matrix(step, "extended")
+        X, _ = builder.matrix(step, "extended", fold)
         if prev is not None:
             assert np.array_equal(X[:, static_cols], prev[:, static_cols])
             assert (X[:, count_col] >= prev[:, count_col]).all()

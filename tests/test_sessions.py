@@ -199,7 +199,6 @@ def test_journey_gaps_and_build():
     assert set(journeys) == {"u1", "u2"}
     j = journeys["u1"]
     assert [s.session_id for s in j.sessions] == ["a", "b"]
-    assert j.inter_session_gaps == [pytest.approx(4000 - 60)]
 
 
 def test_session_json_round_trip(tmp_path):
