@@ -10,6 +10,7 @@ only; held-out sessions influence nothing but their own feature rows.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,17 +78,23 @@ class ProtocolConfig:
         return max(self.steps) + self.buffer
 
     def __post_init__(self):
+        """Every list is non-empty, without repeats, and holds only known
+        names (steps: non-negative integers); each error names its key."""
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        for s in self.settings:
-            if s not in SETTINGS:
-                raise ValueError(f"unknown setting {s!r}")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
-        for m in self.models:
-            if m not in MODEL_KINDS:
-                raise ValueError(f"unknown model {m!r}")
+        for s in self.steps:
+            if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 0:
+                raise ValueError(f"steps: expected non-negative integers, got {s!r}")
+        for key, known in (("settings", SETTINGS), ("variants", VARIANTS), ("models", MODEL_KINDS)):
+            for v in getattr(self, key):
+                if v not in known:
+                    raise ValueError(f"{key}: unknown entry {v!r}; expected one of {list(known)}")
+        for key in ("steps", "settings", "variants", "models"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key}: expected at least one entry")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key}: repeated entries in {list(values)}")
 
 
 @dataclass

@@ -1,10 +1,15 @@
 """Decision-tree ensembles: random forest and gradient-boosted trees.
 
-Trees are grown level-wise on quantile-binned features; histograms for every
-node of a level come from single bincount calls, which keeps fitting fast
-without native extensions. Binning is exact whenever a column has at most
-max_bins distinct values (one-hots, small integer counts), and quantile
-thresholds otherwise.
+Trees are grown level-wise on quantile-binned features. Per level, one
+bincount over (node, feature, bin) keys gives every splittable node's
+histograms for all the features it may split on (one more bincount each for
+the weighted response and, with min_samples_leaf > 1, the row counts), and
+one argmax over the feature-major gains picks every node's split. Each bin
+adds its rows in row order, so sums, and therefore trees, are bit-for-bit
+those of one bincount per feature; histogram subtraction (sibling = parent -
+child) is left out because it would change low-order bits. Binning is exact
+whenever a column has at most max_bins distinct values (one-hots, small
+integer counts), and quantile thresholds otherwise.
 
 Split tie-breaking is deterministic: at equal gain the lowest feature index
 wins, then the lowest threshold.
@@ -33,13 +38,17 @@ class _BinnedDesign:
 
     def __init__(self, X: np.ndarray, max_bins: int):
         n, f = X.shape
-        self.thresholds = [_bin_thresholds(X[:, j], max_bins) for j in range(f)]
+        thresholds = [_bin_thresholds(X[:, j], max_bins) for j in range(f)]
         self.n_features = f
+        self.n_thr = np.array([t.size for t in thresholds], dtype=np.int64)
         # code c means: x <= thresholds[c] (and x > thresholds[c-1])
-        self.bins = max((t.size for t in self.thresholds), default=0) + 1
+        self.bins = int(self.n_thr.max(initial=0)) + 1
+        # thr_table[j, c] is thresholds[j][c], zero-padded past n_thr[j]
+        self.thr_table = np.zeros((f, self.bins - 1))
         self.codes = np.zeros((n, f), dtype=np.int32)
-        for j, thr in enumerate(self.thresholds):
+        for j, thr in enumerate(thresholds):
             if thr.size:
+                self.thr_table[j, : thr.size] = thr
                 self.codes[:, j] = np.searchsorted(thr, X[:, j], side="left")
 
 
@@ -109,38 +118,30 @@ def _grow_tree(
     positive fraction in leaves; "mse" fits weighted means of the response.
     Gains are weighted impurity decreases, accumulated per feature as the
     importance vector.
+
+    Each level's nodes are numbered consecutively after the previous level's,
+    so the active nodes are the id range [lo, hi) and a row whose node id is
+    below lo sits in a finished leaf.
     """
     codes = design.codes[rows]  # subset-relative copy; all row indices below are local
     bins = design.bins
     n_feat = design.n_features
+    max_thr = bins - 1
+    thr_ok = np.arange(max_thr) < design.n_thr[:, None]  # (n_feat, max_thr)
     r = response[rows]
     w = weights[rows]
 
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
+    levels = []  # per level: (feature, threshold, left, right, value) arrays
     importance = np.zeros(n_feat)
-
     node_of_row = np.zeros(rows.size, dtype=np.int64)
-    active_nodes = [0]
-
-    def node_value(sw, swr):
-        return swr / sw  # positive fraction (gini) or weighted mean (mse)
+    lo, hi = 0, 1
 
     for depth in range(max_depth + 1):
-        if not active_nodes:
+        n_active = hi - lo
+        if n_active == 0:
             break
-        remap = {nid: i for i, nid in enumerate(active_nodes)}
-        n_active = len(active_nodes)
-        slot = np.full(len(feature), -1, dtype=np.int64)
-        for nid, i in remap.items():
-            slot[nid] = i
-        row_slot = slot[node_of_row]
-        live = row_slot >= 0
-        live_rows = np.nonzero(live)[0]
-        rs = row_slot[live_rows]
+        live_rows = np.nonzero(node_of_row >= lo)[0]
+        rs = node_of_row[live_rows] - lo
         lw = w[live_rows]
         lr_ = r[live_rows]
         lwr = lw * lr_
@@ -148,117 +149,100 @@ def _grow_tree(
         sw = np.bincount(rs, weights=lw, minlength=n_active)
         swr = np.bincount(rs, weights=lwr, minlength=n_active)
         cnt = np.bincount(rs, minlength=n_active)
-        if criterion == "mse":
-            swr2 = np.bincount(rs, weights=lwr * lr_, minlength=n_active)
-
-        for i, nid in enumerate(active_nodes):
-            value[nid] = node_value(sw[i], swr[i])
-
-        if depth == max_depth:
+        value = swr / sw  # positive fraction (gini) or weighted mean (mse)
+        if depth == max_depth or max_thr == 0:  # leaves only
+            leaf = np.full(n_active, -1, dtype=np.int64)
+            levels.append((leaf, np.zeros(n_active), leaf, leaf, value))
             break
 
         # splittable check: enough rows and impure
         if criterion == "gini":
             impure = (swr > 1e-12) & (sw - swr > 1e-12)
         else:
+            swr2 = np.bincount(rs, weights=lwr * lr_, minlength=n_active)
             impure = (swr2 - swr * swr / np.maximum(sw, 1e-300)) > 1e-12
         splittable = (cnt >= min_samples_split) & impure
 
+        # Only splittable nodes get histograms: one per (node, allowed
+        # feature, bin), all from one bincount. Rows enter each bin in row
+        # order, as a per-feature bincount would add them.
+        cand = np.nonzero(splittable)[0]
+        n_cand = cand.size
+        slot = np.full(n_active, -1, dtype=np.int64)
+        slot[cand] = np.arange(n_cand)
+        cs = slot[rs]
+        in_cand = cs >= 0
+        cs = cs[in_cand]
+        crows = live_rows[in_cand]
         if max_features and feature_rng is not None:
-            keys = feature_rng.random((n_active, n_feat))
+            keys = feature_rng.random((n_active, n_feat))  # drawn for every active node
             order = np.argsort(keys, axis=1, kind="stable")
-            allowed = np.zeros((n_active, n_feat), dtype=bool)
-            np.put_along_axis(allowed, order[:, :max_features], True, axis=1)
+            feats = np.sort(order[cand, :max_features], axis=1)  # ascending per node
+            row_codes = np.take_along_axis(codes[crows], feats[cs], axis=1)
         else:
-            allowed = np.ones((n_active, n_feat), dtype=bool)
+            feats = np.broadcast_to(np.arange(n_feat), (n_cand, n_feat))
+            row_codes = codes[crows]
+        m = feats.shape[1]
+        key = (((cs * m)[:, None] + np.arange(m)) * bins + row_codes).ravel()
+        size = n_cand * m * bins
+        shape = (n_cand, m, bins)
+        hw = np.bincount(key, weights=np.repeat(lw[in_cand], m), minlength=size).reshape(shape)
+        hwr = np.bincount(key, weights=np.repeat(lwr[in_cand], m), minlength=size).reshape(shape)
+        wl = np.cumsum(hw, axis=2)[:, :, :max_thr]
+        wrl = np.cumsum(hwr, axis=2)[:, :, :max_thr]
+        csw = sw[cand][:, None, None]
+        cswr = swr[cand][:, None, None]
+        wr_ = csw - wl
+        wrr = cswr - wrl
 
+        valid = (wl > 0) & (wr_ > 0) & thr_ok[feats]
+        if min_samples_leaf > 1:
+            hn = np.bincount(key, minlength=size).reshape(shape)
+            nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
+            nr = cnt[cand][:, None, None] - nl
+            valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if criterion == "gini":
+                parent = 2.0 * cswr * (csw - cswr) / csw
+                child = 2.0 * wrl * (wl - wrl) / wl + 2.0 * wrr * (wr_ - wrr) / wr_
+                gain = parent - child
+            else:
+                gain = wrl * wrl / wl + wrr * wrr / wr_ - cswr * cswr / csw
+        gain = np.where(valid, gain, -np.inf).reshape(n_cand, m * max_thr)
+        # first max in feature-major order: lowest feature, then lowest threshold
+        best = np.argmax(gain, axis=1)
+        cand_gain = gain[np.arange(n_cand), best]
+        col, cand_bin = np.divmod(best, max_thr)
         best_gain = np.zeros(n_active)
-        best_feat = np.full(n_active, -1, dtype=np.int64)
+        best_gain[cand] = cand_gain
+        best_feat = np.zeros(n_active, dtype=np.int64)
+        best_feat[cand] = feats[np.arange(n_cand), col]
         best_bin = np.zeros(n_active, dtype=np.int64)
+        best_bin[cand] = cand_bin
+        split = best_gain > 1e-12
 
-        base = rs * bins
-        check_counts = min_samples_leaf > 1
-        for f in range(n_feat):
-            n_thr = design.thresholds[f].size
-            if n_thr == 0 or not allowed[:, f].any():
-                continue
-            key = base + codes[live_rows, f]
-            hw = np.bincount(key, weights=lw, minlength=n_active * bins).reshape(n_active, bins)
-            hwr = np.bincount(key, weights=lwr, minlength=n_active * bins).reshape(n_active, bins)
+        first = hi + 2 * (np.cumsum(split) - 1)  # left child id; right is first + 1
+        feature = np.where(split, best_feat, -1)
+        left = np.where(split, first, -1)
+        right = np.where(split, first + 1, -1)
+        threshold = np.where(split, design.thr_table[best_feat, best_bin], 0.0)
+        levels.append((feature, threshold, left, right, value))
+        np.add.at(importance, best_feat[split], best_gain[split])  # in node order
 
-            wl = np.cumsum(hw, axis=1)[:, :n_thr]
-            wrl = np.cumsum(hwr, axis=1)[:, :n_thr]
-            wr_ = sw[:, None] - wl
-            wrr = swr[:, None] - wrl
-
-            valid = (
-                (wl > 0)
-                & (wr_ > 0)
-                & allowed[:, f : f + 1]
-                & splittable[:, None]
-            )
-            if check_counts:
-                hn = np.bincount(key, minlength=n_active * bins).reshape(n_active, bins)
-                nl = np.cumsum(hn, axis=1)[:, :n_thr]
-                nr = cnt[:, None] - nl
-                valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if criterion == "gini":
-                    parent = 2.0 * swr * (sw - swr) / sw
-                    child = 2.0 * wrl * (wl - wrl) / wl + 2.0 * wrr * (wr_ - wrr) / wr_
-                    gain = parent[:, None] - child
-                else:
-                    gain = wrl * wrl / wl + wrr * wrr / wr_ - (swr * swr / sw)[:, None]
-            gain = np.where(valid, gain, -np.inf)
-            fb = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
-            fg = gain[np.arange(n_active), fb]
-            better = fg > best_gain  # strict: earlier feature wins ties
-            best_gain = np.where(better, fg, best_gain)
-            best_feat = np.where(better, f, best_feat)
-            best_bin = np.where(better, fb, best_bin)
-
-        next_active = []
-        split_feat = np.full(n_active, -1, dtype=np.int64)
-        split_code = np.zeros(n_active, dtype=np.int64)
-        goes_left_child = np.zeros(n_active, dtype=np.int64)
-        goes_right_child = np.zeros(n_active, dtype=np.int64)
-        for i, nid in enumerate(active_nodes):
-            if best_feat[i] < 0 or best_gain[i] <= 1e-12:
-                continue
-            f = int(best_feat[i])
-            b = int(best_bin[i])
-            feature[nid] = f
-            threshold[nid] = float(design.thresholds[f][b])
-            importance[f] += best_gain[i]
-            lid = len(feature)
-            feature.extend([-1, -1])
-            threshold.extend([0.0, 0.0])
-            left.extend([-1, -1])
-            right.extend([-1, -1])
-            value.extend([0.0, 0.0])
-            left[nid] = lid
-            right[nid] = lid + 1
-            split_feat[i] = f
-            split_code[i] = b
-            goes_left_child[i] = lid
-            goes_right_child[i] = lid + 1
-            next_active.extend([lid, lid + 1])
-
-        has_split = split_feat[rs] >= 0
+        has_split = split[rs]
         srows = live_rows[has_split]
         s_slot = rs[has_split]
-        go_left = codes[srows, split_feat[s_slot]] <= split_code[s_slot]
-        node_of_row[srows] = np.where(
-            go_left, goes_left_child[s_slot], goes_right_child[s_slot]
-        )
-        active_nodes = next_active
+        go_left = codes[srows, best_feat[s_slot]] <= best_bin[s_slot]
+        node_of_row[srows] = np.where(go_left, left[s_slot], right[s_slot])
+        lo, hi = hi, hi + 2 * int(split.sum())
 
+    feature, threshold, left, right, value = (np.concatenate(a) for a in zip(*levels))
     tree = _Tree(
-        np.array(feature, dtype=np.int32),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int32),
-        np.array(right, dtype=np.int32),
-        np.array(value, dtype=np.float64),
+        feature.astype(np.int32),
+        threshold,
+        left.astype(np.int32),
+        right.astype(np.int32),
+        value,
         importance,
     )
     return tree, node_of_row

@@ -104,6 +104,26 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, command, setting):
     assert setting.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    'steps=["a"]',  # list elements are checked, not only the list type
+    "steps=[-1]",
+    "steps=[true]",
+    "steps=[]",
+    "models=[]",
+    "settings=[]",
+    "variants=[]",
+    'models=["lr","lr"]',  # a repeat would fit and report a model twice
+    "steps=[1,1]",
+    'settings=["anonymous","anonymous"]',
+    'variants=["extended","extended"]',
+])
+def test_malformed_protocol_list_exit_2(tmp_path, capsys, setting):
+    out = tmp_path / "out"
+    assert main(["evaluate", str(tmp_path / "missing"), "--set", setting, "--out", str(out)]) == 2
+    assert setting.split("=")[0] + ":" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_malformed_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("1000\tC1\tPC\n")  # wrong column count

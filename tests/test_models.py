@@ -14,6 +14,7 @@ from shopstream.models import (
     importance,
     model_from_json,
     model_to_json,
+    neighbors,
     permutation_importance,
     predict,
     predict_proba,
@@ -21,7 +22,7 @@ from shopstream.models import (
 )
 from shopstream.models.linear import LogisticRegression
 from shopstream.models.mlp import MLPClassifier
-from shopstream.models.neighbors import KNNClassifier
+from shopstream.models.neighbors import KNNClassifier, _nearest
 from shopstream.models.trees import GradientBoostingClassifier
 
 
@@ -116,6 +117,46 @@ def test_knn_weighted_votes():
     y = np.array([1, 1, 0, 0])
     m.fit(X, y, np.array([1.0, 1.0, 4.0, 4.0]))
     assert m.predict_proba(np.array([[0.5]]))[0] == pytest.approx(2 / 6)
+
+
+def _tie_heavy(seed=0, n=60):
+    """One-hot, 0/1 and half-integer columns, queries partly copied from the
+    training rows, so many distances tie, also at the k-th neighbour."""
+    rng = np.random.default_rng(seed)
+    cat = rng.integers(0, 3, n)
+    X = np.hstack([(cat[:, None] == np.arange(3)).astype(float),
+                   rng.integers(0, 2, (n, 2)).astype(float), rng.integers(0, 4, (n, 1)) / 2])
+    y = rng.integers(0, 2, n)
+    Q = np.vstack([X[rng.integers(0, n, 25)], rng.integers(0, 2, (10, X.shape[1]))])
+    return X, y, np.where(y == 1, 1.7, 0.6), Q
+
+
+def _stable_argsort_nearest(d2, k):
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+@pytest.mark.parametrize("k", [1, 5, 15, 60, 63])
+def test_knn_nearest_matches_stable_argsort(k):
+    X, y, w, Q = _tie_heavy()
+    d2 = np.einsum("ij,ij->i", X, X)[None, :] - 2.0 * (Q @ X.T)
+    if k < X.shape[0]:
+        # both paths run: rows without a tie at the k-th distance, and rows with one
+        kth = np.sort(d2, axis=1)[:, k - 1 : k]
+        n_at_or_below = (d2 <= kth).sum(axis=1)
+        assert (n_at_or_below == k).any() and (n_at_or_below > k).any()
+    assert np.array_equal(_nearest(d2, k), _stable_argsort_nearest(d2, k))
+    # continuous distances never tie, so below n_train only the partition path runs
+    d2 = np.random.default_rng(k).normal(size=(30, X.shape[0]))
+    assert np.array_equal(_nearest(d2, k), _stable_argsort_nearest(d2, k))
+
+
+@pytest.mark.parametrize("k", [1, 5, 60, 63])
+def test_knn_predict_proba_bit_equal_to_argsort_path(k, monkeypatch):
+    X, y, w, Q = _tie_heavy(seed=2)
+    got = KNNClassifier(k=k).fit(X, y, w).predict_proba(Q)
+    monkeypatch.setattr(neighbors, "_nearest", _stable_argsort_nearest)
+    want = KNNClassifier(k=k).fit(X, y, w).predict_proba(Q)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_determinism_same_seed_same_predictions():
