@@ -415,12 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # environment override for CI: SHOPSTREAM_SEED
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and os.environ.get("SHOPSTREAM_SEED"):
-        args.seed = int(os.environ["SHOPSTREAM_SEED"])
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IngestError as exc:  # before ValueError: IngestError subclasses it

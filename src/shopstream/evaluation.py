@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
                 seed = _model_seed(cfg.seed, builder.setting, fold_index, step, variant, kind)
                 X_fit, X_test = scaled if kind in SCALED_KINDS else (X_tr, X_ev)
                 try:
-                    model = fit_model(X_fit, y_tr, cfg.train.for_kind(kind, seed=seed))
+                    model = fit_model(X_fit, y_tr, replace(cfg.train, kind=kind, seed=seed))
                     precision, recall, f1 = f1_score(y_ev, predict(model, X_test))
                     imp = model_importance(model, X_test, y_ev, seed=seed)
                     cells[kind, variant, step] = (precision, recall, f1, imp)

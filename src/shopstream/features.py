@@ -134,14 +134,6 @@ class FeatureContext:
         }
 
 
-def _device_history_sequence(s: Session, j: Optional[Journey]) -> list[str]:
-    """Prior-session devices followed by the current session's device."""
-    if j is None:
-        return [s.device]
-    prior = [x.device for x in j.sessions if x.end_time < s.start_time]
-    return prior + [s.device]
-
-
 def fit_feature_context(train_sessions, train_journeys, alpha: float = 1.0) -> FeatureContext:
     """Fit Markov chains and the device conversion table on training data only."""
     page_seqs = {True: [], False: []}
@@ -151,7 +143,8 @@ def fit_feature_context(train_sessions, train_journeys, alpha: float = 1.0) -> F
     for s in train_sessions:
         if s.customer_id is None:
             continue
-        seq = _device_history_sequence(s, train_journeys.get(s.customer_id))
+        hist = history_snapshot(train_journeys.get(s.customer_id), s.start_time)
+        seq = hist.device_sequence + [s.device]
         if len(seq) >= 2:
             device_seqs[s.purchase].append(seq)
     totals: dict[str, int] = {}

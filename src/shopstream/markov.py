@@ -8,7 +8,6 @@ transition probability positive so scores stay finite.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Sequence
 
@@ -57,13 +56,6 @@ class MarkovChain:
             "counts": self.counts.tolist(),
             "alpha": self.alpha,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarkovChain":
-        return cls(d["alphabet"], np.array(d["counts"]), d["alpha"])
 
 
 def fit(sequences, alphabet: Sequence[str], alpha: float = 1.0) -> MarkovChain:

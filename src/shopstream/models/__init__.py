@@ -4,8 +4,9 @@ Class weighting is inverse-frequency: w_c = N / (2 * N_c); the weight of
 example i is w over its own class and enters every loss and split criterion
 (KNN applies it to votes). Decisions use a fixed 0.5 threshold.
 
-Model artifacts serialize to versioned JSON and loading refuses a version
-mismatch.
+Fitted models serialize to versioned JSON (`model_to_json`) for
+`evaluation.fold_artifacts`, which the leakage check compares as text;
+nothing loads a model back.
 """
 
 from __future__ import annotations
@@ -71,11 +72,21 @@ class TrainConfig:
     mlp_epochs: int = 300
     mlp_rate: float = 0.02
 
-    def for_kind(self, kind: str, seed=None) -> "TrainConfig":
-        cfg = TrainConfig(**{**self.__dict__, "kind": kind})
-        if seed is not None:
-            cfg.seed = seed
-        return cfg
+    def __post_init__(self):
+        """Counts and sizes are positive, rates are positive and l2 is not
+        negative; each error names its key."""
+        for key, low in (
+            ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
+            ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1), ("gbdt_depth", 1),
+            ("min_samples_leaf", 1), ("min_samples_split", 2), ("max_bins", 2),
+        ):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key}: expected >= {low}, got {getattr(self, key)!r}")
+        for key in ("gbdt_rate", "learning_rate", "mlp_rate"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key}: expected > 0, got {getattr(self, key)!r}")
+        if not self.l2 >= 0:
+            raise ValueError(f"l2: expected >= 0, got {self.l2!r}")
 
 
 def class_weights(y: np.ndarray) -> dict:
@@ -198,16 +209,6 @@ def importance(model, X_holdout=None, y_holdout=None, seed: int = 0) -> np.ndarr
     return permutation_importance(model, X_holdout, y_holdout, seed)
 
 
-_CLASSES = {
-    "lr": LogisticRegression,
-    "svm": LinearSVM,
-    "knn": KNNClassifier,
-    "rf": RandomForestClassifier,
-    "gbdt": GradientBoostingClassifier,
-    "mlp": MLPClassifier,
-}
-
-
 def model_to_json(model, feature_names=None) -> str:
     payload = {
         "version": ARTIFACT_VERSION,
@@ -217,15 +218,3 @@ def model_to_json(model, feature_names=None) -> str:
         "params": model.to_dict(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def model_from_json(text: str):
-    payload = json.loads(text)
-    if payload.get("version") != ARTIFACT_VERSION:
-        raise ValueError(
-            f"artifact version {payload.get('version')} != supported {ARTIFACT_VERSION}"
-        )
-    model = _CLASSES[payload["kind"]].from_dict(payload["params"])
-    if payload.get("n_features_in") is not None:
-        model.n_features_in_ = payload["n_features_in"]
-    return model

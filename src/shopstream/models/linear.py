@@ -60,13 +60,6 @@ class LogisticRegression:
             "intercept": self.intercept_,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticRegression":
-        m = cls(d["learning_rate"], d["epochs"], d["l2"], d["seed"])
-        m.coef_ = np.array(d["coef"])
-        m.intercept_ = d["intercept"]
-        return m
-
 
 def _platt_fit(margins: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
                epochs: int = 300, lr: float = 0.2) -> tuple[float, float]:
@@ -139,12 +132,3 @@ class LinearSVM:
             "platt_a": self.platt_a,
             "platt_b": self.platt_b,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSVM":
-        m = cls(d["learning_rate"], d["epochs"], d["l2"], d["seed"])
-        m.coef_ = np.array(d["coef"])
-        m.intercept_ = d["intercept"]
-        m.platt_a = d["platt_a"]
-        m.platt_b = d["platt_b"]
-        return m

@@ -89,12 +89,3 @@ class MLPClassifier:
             "w2": self.w2.tolist(),
             "b2": self.b2,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MLPClassifier":
-        m = cls(d["hidden"], d["epochs"], d["learning_rate"], d["seed"])
-        m.w1 = np.array(d["w1"])
-        m.b1 = np.array(d["b1"])
-        m.w2 = np.array(d["w2"])
-        m.b2 = d["b2"]
-        return m

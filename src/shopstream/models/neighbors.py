@@ -74,11 +74,3 @@ class KNNClassifier:
             "y": self.y_.tolist(),
             "vote_weight": self.vote_weight_.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNNClassifier":
-        m = cls(d["k"], d["seed"])
-        m.X_ = np.array(d["X"])
-        m.y_ = np.array(d["y"])
-        m.vote_weight_ = np.array(d["vote_weight"])
-        return m

@@ -87,17 +87,6 @@ class _Tree:
             "value": self.value.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "_Tree":
-        return cls(
-            np.array(d["feature"], dtype=np.int32),
-            np.array(d["threshold"], dtype=np.float64),
-            np.array(d["left"], dtype=np.int32),
-            np.array(d["right"], dtype=np.int32),
-            np.array(d["value"], dtype=np.float64),
-            np.zeros(n_features),
-        )
-
 
 def _grow_tree(
     design: _BinnedDesign,
@@ -319,16 +308,6 @@ class RandomForestClassifier:
             "trees": [t.to_dict() for t in self.trees],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForestClassifier":
-        m = cls(
-            d["n_trees"], d["max_depth"], d["min_samples_leaf"],
-            d["min_samples_split"], d["max_bins"], d["seed"],
-        )
-        m.n_features = d["n_features"]
-        m.trees = [_Tree.from_dict(t, m.n_features) for t in d["trees"]]
-        return m
-
 
 class GradientBoostingClassifier:
     """Log-loss boosting with depth-limited regression trees and Newton leaves."""
@@ -414,14 +393,3 @@ class GradientBoostingClassifier:
             "n_features": self.n_features,
             "trees": [t.to_dict() for t in self.trees],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostingClassifier":
-        m = cls(
-            d["n_rounds"], d["learning_rate"], d["max_depth"],
-            d["min_samples_leaf"], d["max_bins"], d["seed"],
-        )
-        m.f0 = d["f0"]
-        m.n_features = d["n_features"]
-        m.trees = [_Tree.from_dict(t, m.n_features) for t in d["trees"]]
-        return m

@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import NamedTuple, Optional
 
+from .analytics import MS_PER_DAY
 from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum
-
-MS_PER_DAY = 86_400_000.0
 
 
 class StepOutOfRange(ValueError):
@@ -140,14 +140,18 @@ def dwell_stats_at_step(s: Session, step: int) -> DwellStats:
     return DwellStats(mean=mean, std=std, count=len(window))
 
 
+def _switch_probability(devices) -> float:
+    """Fraction of consecutive devices that differ; 0.0 for fewer than two."""
+    switches = sum(a != b for a, b in zip(devices, devices[1:]))
+    return switches / (len(devices) - 1) if len(devices) > 1 else 0.0
+
+
 def device_switches(j: Journey) -> DeviceSwitchReport:
     """Device pairs of consecutive sessions and the fraction that differ."""
     devs = [s.device for s in j.sessions]
-    pairs = list(zip(devs, devs[1:]))
-    if not pairs:
-        return DeviceSwitchReport(pairs=[], switch_probability=0.0)
-    switches = sum(1 for a, b in pairs if a != b)
-    return DeviceSwitchReport(pairs=pairs, switch_probability=switches / len(pairs))
+    return DeviceSwitchReport(
+        pairs=list(zip(devs, devs[1:])), switch_probability=_switch_probability(devs)
+    )
 
 
 def history_snapshot(j: Optional[Journey], at: int) -> HistorySummary:
@@ -160,18 +164,16 @@ def history_snapshot(j: Optional[Journey], at: int) -> HistorySummary:
     if j is None:
         return HistorySummary(0, -1.0, 0, 0, [], 0.0)
     prior = [s for s in j.sessions if s.end_time < at]
-    orders = sum(1 for s in prior if s.purchase)
-    last_purchase_end = max((s.end_time for s in prior if s.purchase), default=None)
-    days = -1.0 if last_purchase_end is None else (at - last_purchase_end) / MS_PER_DAY
+    purchase_ends = [s.end_time for s in prior if s.purchase]
+    days = -1.0 if not purchase_ends else (at - max(purchase_ends)) / MS_PER_DAY
     devices = [s.device for s in prior]
-    switch_prob = device_switches(Journey(j.customer_id, prior)).switch_probability
     return HistorySummary(
-        orders=orders,
+        orders=len(purchase_ends),
         days_since_last_purchase=days,
         n_sessions=len(prior),
         n_devices=len(set(devices)),
         device_sequence=devices,
-        switch_probability=switch_prob,
+        switch_probability=_switch_probability(devices),
     )
 
 
@@ -197,8 +199,9 @@ def session_to_json(s: Session) -> str:
 
 def session_from_json(line: str) -> Session:
     """Decode one sessions.jsonl record. Values must be the canonical ones
-    the writer emits: an empty event list raises MalformedLine and a device,
-    channel, action or page type outside ingest's alphabets UnknownEnum."""
+    the writer emits: an empty event list or a value of another JSON type
+    raises MalformedLine and a device, channel, action or page type outside
+    ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
     country = rec.get("country", "")
     events = tuple(
@@ -218,6 +221,22 @@ def session_from_json(line: str) -> Session:
     )
     if not events:
         raise MalformedLine("session has no events")
+    # the exact types session_to_json writes, so a bool is not an int
+    for what, found, allowed in (
+        ("session_id", {type(rec["session_id"])}, (str,)),
+        ("client_token", {type(rec["client_token"])}, (str,)),
+        ("customer_id", {type(rec["customer_id"])}, (str, NoneType)),
+        ("start_ms", {type(rec["start_ms"])}, (int,)),
+        ("purchase", {type(rec["purchase"])}, (bool,)),
+        ("country", {type(country)}, (str,)),
+        ("timestamp", {type(e.timestamp) for e in events}, (int,)),
+        ("query", {type(e.query_text) for e in events}, (str, NoneType)),
+        ("price", {type(e.price) for e in events}, (int, NoneType)),
+    ):
+        wrong = found.difference(allowed)
+        if wrong:
+            names = [t.__name__ for t in allowed]
+            raise MalformedLine(f"{what}: expected {' or '.join(names)}, got {wrong.pop().__name__}")
     for what, values, alphabet in (
         ("device", {rec["device"]}, DEVICES),
         ("channel", {rec["channel"]}, CHANNELS),

@@ -96,6 +96,12 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("generate", 'n_customers="30"'),
     ("generate", "n_customers=true"),
     ("ingest", "allowed_countries=NL"),
+    ("evaluate", "knn_k=0"),  # training options are range-checked too
+    ("evaluate", "knn_k=-3"),
+    ("evaluate", "n_trees=0"),
+    ("evaluate", "epochs=0"),
+    ("evaluate", "gbdt_rate=0"),
+    ("evaluate", "l2=-1"),
 ])
 def test_unknown_config_key_exit_2(tmp_path, capsys, command, setting):
     # settings are checked before any input is read: the input need not exist
@@ -231,6 +237,14 @@ def test_evaluate_threads_do_not_change_results(sessions_file, tmp_path):
     assert json.loads((b / "manifest.json").read_text())["threads"] == 2
 
 
+# a record field set to a value of another JSON type than the writer's
+_WRONG_TYPES = {
+    "string_start": ("start_ms", "x"),
+    "string_purchase": ("purchase", "yes"),
+    "int_customer": ("customer_id", 5),
+}
+
+
 def _bad_sessions(sessions_file, tmp_path, case):
     first, second = open(sessions_file).read().splitlines()[:2]
     if case == "truncated":
@@ -249,13 +263,23 @@ def _bad_sessions(sessions_file, tmp_path, case):
         second = second.replace(f'"device":"{json.loads(second)["device"]}"', '"device":"Fridge"')
     elif case == "unknown_action":
         second = second.replace('"PageView"', '"Teleport"', 1)
+    elif case == "string_timestamp":
+        record = json.loads(second)
+        record["events"][0][0] = str(record["events"][0][0])
+        second = json.dumps(record)
+    elif case in _WRONG_TYPES:
+        record = json.loads(second)
+        key, value = _WRONG_TYPES[case]
+        record[key] = value
+        second = json.dumps(record)
     bad = tmp_path / f"{case}.jsonl"
     bad.write_text(first + "\n" + second + "\n")
     return bad
 
 
 @pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object",
-                                  "empty_events", "unknown_device", "unknown_action"])
+                                  "empty_events", "unknown_device", "unknown_action",
+                                  "string_timestamp", *_WRONG_TYPES])
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
 def test_bad_sessions_record_exit_3_with_line(sessions_file, tmp_path, capsys, command, case):
     bad = _bad_sessions(sessions_file, tmp_path, case)

@@ -181,16 +181,6 @@ def test_transition_matrix_matches_brute_force():
                 assert math.isnan(matrix[i, k])
 
 
-def test_chain_serialization_round_trip():
-    chain = fit([["A", "B", "B", "A"]], ["A", "B"], alpha=2.0)
-    back = MarkovChain.from_dict(chain.to_dict())
-    assert back.alphabet == chain.alphabet
-    assert np.array_equal(back.counts, chain.counts)
-    assert back.alpha == chain.alpha
-    assert np.array_equal(back.probs, chain.probs)
-    assert chain.to_json() == back.to_json()
-
-
 def test_alpha_must_be_positive():
     with pytest.raises(ValueError):
         MarkovChain(["A"], alpha=0.0)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from shopstream.models import (
     class_weights,
     fit,
     importance,
-    model_from_json,
-    model_to_json,
     neighbors,
     permutation_importance,
     predict,
@@ -285,25 +281,6 @@ def test_predict_dimension_mismatch():
     model = fit(X, y, _fast_cfg("lr"))
     with pytest.raises(DimensionMismatch):
         predict_proba(model, np.zeros((2, X.shape[1] + 1)))
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_serialization_round_trip(kind):
-    X, y = blobs(seed=8, n=150)
-    model = fit(X, y, _fast_cfg(kind, n_trees=10, gbdt_rounds=10, mlp_epochs=40, epochs=60))
-    probes = np.random.default_rng(2).normal(size=(20, X.shape[1]))
-    text = model_to_json(model, feature_names=[f"f{i}" for i in range(X.shape[1])])
-    back = model_from_json(text)
-    assert np.allclose(predict_proba(model, probes), predict_proba(back, probes))
-
-
-def test_serialization_refuses_other_version():
-    X, y = blobs(seed=8, n=100)
-    model = fit(X, y, _fast_cfg("lr"))
-    payload = json.loads(model_to_json(model))
-    payload["version"] = 99
-    with pytest.raises(ValueError):
-        model_from_json(json.dumps(payload))
 
 
 def test_tree_tie_break_prefers_lowest_feature_and_threshold():
