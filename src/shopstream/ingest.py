@@ -25,10 +25,16 @@ IDLE_GAP_MS = 30 * 60 * 1000  # strict: a gap of exactly 30 minutes stays in-ses
 
 N_COLUMNS = 10
 
-_DEVICE_LOOKUP = {d.lower(): d for d in DEVICES}
-_CHANNEL_LOOKUP = {c.lower(): c for c in CHANNELS}
-_ACTION_LOOKUP = {a.lower(): a for a in ACTIONS}
-_PAGE_LOOKUP = {p.lower(): p for p in PAGE_TYPES}
+
+def _lookup(names) -> dict:
+    """Canonical name by its lower-case form and by itself."""
+    return {**{n.lower(): n for n in names}, **{n: n for n in names}}
+
+
+_DEVICE_LOOKUP = _lookup(DEVICES)
+_CHANNEL_LOOKUP = _lookup(CHANNELS)
+_ACTION_LOOKUP = _lookup(ACTIONS)
+_PAGE_LOOKUP = _lookup(PAGE_TYPES)
 
 
 class IngestError(ValueError):
@@ -88,47 +94,56 @@ class BotFilterConfig:
 
 
 def _decode_enum(value: str, lookup: dict, what: str, line_no: int) -> str:
-    canon = lookup.get(value.strip().lower())
+    # the exact spelling hits first; others are stripped and lower-cased
+    canon = lookup.get(value)
     if canon is None:
-        raise UnknownEnum(f"unknown {what} {value!r}", line_no)
+        canon = lookup.get(value.strip().lower())
+        if canon is None:
+            raise UnknownEnum(f"unknown {what} {value!r}", line_no)
     return canon
+
+
+def _is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of 0-9; int() also takes underscores, signs
+    and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_event_line(line: str, line_no: int = 0) -> RawEvent:
     """Decode one TSV record into a RawEvent.
 
-    Raises MalformedLine on a wrong column count, BadTimestamp on a
-    non-integer or negative timestamp and UnknownEnum for values outside
-    the closed device/channel/action/page-type alphabets. Enum decoding is
-    case-insensitive.
+    Raises MalformedLine on a wrong column count or a price that is not
+    ASCII digits, BadTimestamp on a timestamp that is not an optionally
+    negative run of ASCII digits or is negative, and UnknownEnum for values
+    outside the closed device/channel/action/page-type alphabets. Enum
+    decoding is case-insensitive.
     """
     cols = line.rstrip("\r\n").split("\t")
     if len(cols) != N_COLUMNS:
         raise MalformedLine(f"expected {N_COLUMNS} columns, got {len(cols)}", line_no)
     raw_ts = cols[0].strip()
-    try:
-        ts = int(raw_ts)
-    except ValueError:
-        raise BadTimestamp(f"non-integer timestamp {raw_ts!r}", line_no) from None
+    if not _is_ascii_digits(raw_ts[1:] if raw_ts.startswith("-") else raw_ts):
+        raise BadTimestamp(f"non-integer timestamp {raw_ts!r}", line_no)
+    ts = int(raw_ts)
     if ts < 0:
         raise BadTimestamp(f"negative timestamp {ts}", line_no)
     price: Optional[int] = None
-    if cols[8].strip():
-        try:
-            price = int(cols[8])
-        except ValueError:
-            raise MalformedLine(f"bad price {cols[8]!r}", line_no) from None
+    raw_price = cols[8].strip()
+    if raw_price:
+        if not _is_ascii_digits(raw_price):
+            raise MalformedLine(f"bad price {cols[8]!r}", line_no)
+        price = int(raw_price)
     return RawEvent(
-        timestamp=ts,
-        client_token=cols[1],
-        customer_id=cols[2] or None,
-        device=_decode_enum(cols[3], _DEVICE_LOOKUP, "device", line_no),
-        channel=_decode_enum(cols[4], _CHANNEL_LOOKUP, "channel", line_no),
-        action=_decode_enum(cols[5], _ACTION_LOOKUP, "action", line_no),
-        page_type=_decode_enum(cols[6], _PAGE_LOOKUP, "page_type", line_no),
-        query_text=cols[7] or None,
-        price=price,
-        country=cols[9].strip(),
+        ts,
+        cols[1],
+        cols[2] or None,
+        _decode_enum(cols[3], _DEVICE_LOOKUP, "device", line_no),
+        _decode_enum(cols[4], _CHANNEL_LOOKUP, "channel", line_no),
+        _decode_enum(cols[5], _ACTION_LOOKUP, "action", line_no),
+        _decode_enum(cols[6], _PAGE_LOOKUP, "page_type", line_no),
+        cols[7] or None,
+        price,
+        cols[9].strip(),
     )
 
 

@@ -145,15 +145,23 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig):
 
 
 def predict_proba(model, X: np.ndarray) -> np.ndarray:
+    """Positive-class probabilities; features are the last axis of X."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     expected = getattr(model, "n_features_in_", None)
-    if expected is not None and X.shape[1] != expected:
-        raise DimensionMismatch(f"expected {expected} features, got {X.shape[1]}")
+    if expected is not None and X.shape[-1] != expected:
+        raise DimensionMismatch(f"expected {expected} features, got {X.shape[-1]}")
     return model.predict_proba(X)
 
 
 def predict(model, X: np.ndarray) -> np.ndarray:
     return (predict_proba(model, X) >= 0.5).astype(np.int64)
+
+
+def _f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 def f1_score(y_true, y_pred) -> tuple[float, float, float]:
@@ -165,26 +173,38 @@ def f1_score(y_true, y_pred) -> tuple[float, float, float]:
     tp = int(((y_true == 1) & (y_pred == 1)).sum())
     fp = int(((y_true == 0) & (y_pred == 1)).sum())
     fn = int(((y_true == 1) & (y_pred == 0)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    return _f1_from_counts(tp, fp, fn)
 
 
 def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Mean F1 drop per shuffled feature, clipped at 0 and normalized."""
+    """Mean F1 drop per shuffled feature, clipped at 0 and normalized.
+
+    Each feature's N_SHUFFLES shuffled copies of X are scored by one
+    predict_proba call on their (N_SHUFFLES, n, d) stack; every model takes
+    leading batch axes and scores each slice bit-equal to a 2-D call.
+    Permutations are drawn feature by feature, shuffle by shuffle, and the
+    drops are summed in that order.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     base = f1_score(y, predict(model, X))[2]
     rng = np.random.default_rng(seed)
-    drops = np.zeros(X.shape[1])
-    for j in range(X.shape[1]):
+    n, d = X.shape
+    pos, neg = y == 1, y == 0
+    stack = np.repeat(X[None], N_SHUFFLES, axis=0)
+    drops = np.zeros(d)
+    for j in range(d):
+        for s in range(N_SHUFFLES):
+            stack[s, :, j] = X[rng.permutation(n), j]
+        hit = predict(model, stack) == 1
+        tp = np.count_nonzero(hit & pos, axis=1).tolist()
+        fp = np.count_nonzero(hit & neg, axis=1).tolist()
+        fn = np.count_nonzero(~hit & pos, axis=1).tolist()
         acc = 0.0
-        for _ in range(N_SHUFFLES):
-            Xp = X.copy()
-            Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
-            acc += base - f1_score(y, predict(model, Xp))[2]
+        for s in range(N_SHUFFLES):
+            acc += base - _f1_from_counts(tp[s], fp[s], fn[s])[2]
         drops[j] = acc / N_SHUFFLES
+        stack[:, :, j] = X[:, j]
     drops = np.clip(drops, 0.0, None)
     total = drops.sum()
     return drops / total if total > 0 else drops

@@ -26,57 +26,71 @@ class MLPClassifier:
         self.b2 = 0.0
 
     @staticmethod
+    def _forward(X, w1, b1, w2, b2):
+        """Hidden activations and output probabilities."""
+        h = np.tanh(X @ w1 + b1)
+        return h, _sigmoid(h @ w2 + b2)
+
+    @staticmethod
+    def _backward(X, h, dz, w2):
+        """Gradients (w1, b1, w2, b2) given dz, the loss gradient at the logits."""
+        dh = dz[:, None] * w2 * (1.0 - h * h)
+        return X.T @ dh, dh.sum(axis=0), h.T @ dz, dz.sum()
+
+    @staticmethod
     def loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
         """Weighted-mean cross-entropy and its exact gradients.
 
         params holds w1 (d,h), b1 (h,), w2 (h,), b2 (scalar). Exposed so the
         gradients can be verified against finite differences.
         """
-        w1, b1, w2, b2 = params["w1"], params["b1"], params["w2"], params["b2"]
         sw = sample_weight / sample_weight.sum()
-        h = np.tanh(X @ w1 + b1)
-        z = h @ w2 + b2
-        p = _sigmoid(z)
+        h, p = MLPClassifier._forward(X, params["w1"], params["b1"], params["w2"], params["b2"])
         eps = 1e-12
         loss = -float(np.sum(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))))
-        dz = sw * (p - y)
-        gw2 = h.T @ dz
-        gb2 = float(dz.sum())
-        dh = np.outer(dz, w2) * (1.0 - h * h)
-        gw1 = X.T @ dh
-        gb1 = dh.sum(axis=0)
-        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+        gw1, gb1, gw2, gb2 = MLPClassifier._backward(X, h, sw * (p - y), params["w2"])
+        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": float(gb2)}
 
     def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
-        n, d = X.shape
+        """Full-batch Adam on one flat parameter vector; w1, b1, w2 and b2 are
+        views into it, so each weight takes the same steps it would alone.
+        Epochs compute gradients only, never the loss."""
+        d = X.shape[1]
+        hid = self.hidden
         rng = np.random.default_rng(self.seed)
-        params = {
-            "w1": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, self.hidden)),
-            "b1": np.zeros(self.hidden),
-            "w2": rng.normal(0.0, 1.0 / np.sqrt(self.hidden), size=self.hidden),
-            "b2": 0.0,
-        }
+        theta = np.zeros(d * hid + 2 * hid + 1)
+        w1 = theta[: d * hid].reshape(d, hid)
+        b1 = theta[d * hid : d * hid + hid]
+        w2 = theta[d * hid + hid : -1]
+        b2 = theta[-1:]
+        w1[...] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hid))
+        w2[...] = rng.normal(0.0, 1.0 / np.sqrt(hid), size=hid)
         yf = y.astype(np.float64)
-        m = {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
-        v = {k: np.zeros_like(np.asarray(vv, dtype=np.float64)) for k, vv in params.items()}
+        sw = sample_weight / sample_weight.sum()
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t in range(1, self.epochs + 1):
-            _, grads = self.loss_and_grad(params, X, yf, sample_weight)
-            for k in params:
-                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                v[k] = beta2 * v[k] + (1 - beta2) * np.square(grads[k])
-                m_hat = m[k] / (1 - beta1 ** t)
-                v_hat = v[k] / (1 - beta2 ** t)
-                params[k] = params[k] - self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        self.w1 = params["w1"]
-        self.b1 = params["b1"]
-        self.w2 = params["w2"]
-        self.b2 = float(params["b2"])
+            h, p = self._forward(X, w1, b1, w2, b2)
+            gw1, gb1, gw2, gb2 = self._backward(X, h, sw * (p - yf), w2)
+            g = np.concatenate((gw1.ravel(), gb1, gw2, (gb2,)))
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * np.square(g)
+            m_hat = m / (1 - beta1 ** t)
+            v_hat = v / (1 - beta2 ** t)
+            theta -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        self.w1 = w1.copy()
+        self.b1 = b1.copy()
+        self.w2 = w2.copy()
+        self.b2 = float(b2[0])
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        h = np.tanh(X @ self.w1 + self.b1)
-        return _sigmoid(h @ self.w2 + self.b2)
+        """P(y=1) for each row of X; leading axes are a batch, and each
+        stacked product is slice for slice bit-equal to a 2-D call."""
+        return self._forward(X, self.w1, self.b1, self.w2, self.b2)[1]
 
     def to_dict(self) -> dict:
         return {

@@ -199,37 +199,30 @@ def session_to_json(s: Session) -> str:
 
 def session_from_json(line: str) -> Session:
     """Decode one sessions.jsonl record. Values must be the canonical ones
-    the writer emits: an empty event list or a value of another JSON type
-    raises MalformedLine and a device, channel, action or page type outside
-    ingest's alphabets UnknownEnum."""
+    the writer emits: an empty event list, a value of another JSON type, a
+    negative start_ms, a start_ms other than the first event's timestamp or
+    event timestamps that decrease raise MalformedLine, and a device,
+    channel, action or page type outside ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
     country = rec.get("country", "")
+    token, customer = rec["client_token"], rec["customer_id"]
+    device, channel = rec["device"], rec["channel"]
     events = tuple(
-        RawEvent(
-            timestamp=ts,
-            client_token=rec["client_token"],
-            customer_id=rec["customer_id"],
-            device=rec["device"],
-            channel=rec["channel"],
-            action=action,
-            page_type=page_type,
-            query_text=query,
-            price=price,
-            country=country,
-        )
+        RawEvent(ts, token, customer, device, channel, action, page_type, query, price, country)
         for ts, action, page_type, query, price in rec["events"]
     )
     if not events:
         raise MalformedLine("session has no events")
+    stamps = [e.timestamp for e in events]
     # the exact types session_to_json writes, so a bool is not an int
     for what, found, allowed in (
         ("session_id", {type(rec["session_id"])}, (str,)),
-        ("client_token", {type(rec["client_token"])}, (str,)),
-        ("customer_id", {type(rec["customer_id"])}, (str, NoneType)),
+        ("client_token", {type(token)}, (str,)),
+        ("customer_id", {type(customer)}, (str, NoneType)),
         ("start_ms", {type(rec["start_ms"])}, (int,)),
         ("purchase", {type(rec["purchase"])}, (bool,)),
         ("country", {type(country)}, (str,)),
-        ("timestamp", {type(e.timestamp) for e in events}, (int,)),
+        ("timestamp", set(map(type, stamps)), (int,)),
         ("query", {type(e.query_text) for e in events}, (str, NoneType)),
         ("price", {type(e.price) for e in events}, (int, NoneType)),
     ):
@@ -238,20 +231,27 @@ def session_from_json(line: str) -> Session:
             names = [t.__name__ for t in allowed]
             raise MalformedLine(f"{what}: expected {' or '.join(names)}, got {wrong.pop().__name__}")
     for what, values, alphabet in (
-        ("device", {rec["device"]}, DEVICES),
-        ("channel", {rec["channel"]}, CHANNELS),
+        ("device", {device}, DEVICES),
+        ("channel", {channel}, CHANNELS),
         ("action", {e.action for e in events}, ACTIONS),
         ("page_type", {e.page_type for e in events}, PAGE_TYPES),
     ):
         unknown = values.difference(alphabet)
         if unknown:
             raise UnknownEnum(f"unknown {what} {min(unknown)!r}")
+    # ingest's own invariants, so no dwell time comes out negative
+    if rec["start_ms"] < 0:
+        raise MalformedLine(f"negative start_ms {rec['start_ms']}")
+    if rec["start_ms"] != stamps[0]:
+        raise MalformedLine(f"start_ms {rec['start_ms']} is not the first event's timestamp {stamps[0]}")
+    if stamps != sorted(stamps):
+        raise MalformedLine("event timestamps decrease")
     return Session(
         session_id=rec["session_id"],
-        client_token=rec["client_token"],
-        customer_id=rec["customer_id"],
-        device=rec["device"],
-        channel=rec["channel"],
+        client_token=token,
+        customer_id=customer,
+        device=device,
+        channel=channel,
         start_time=rec["start_ms"],
         events=events,
         purchase=rec["purchase"],

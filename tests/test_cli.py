@@ -267,6 +267,16 @@ def _bad_sessions(sessions_file, tmp_path, case):
         record = json.loads(second)
         record["events"][0][0] = str(record["events"][0][0])
         second = json.dumps(record)
+    elif case in ("negative_start", "start_not_first_event", "decreasing_timestamps"):
+        record = json.loads(second)
+        stamps = [e[0] for e in record["events"]]
+        if case == "negative_start":
+            record["start_ms"] = record["events"][0][0] = -5
+        elif case == "start_not_first_event":
+            record["start_ms"] = stamps[0] - 1
+        else:
+            record["events"][-1][0] = stamps[-2] - 1
+        second = json.dumps(record)
     elif case in _WRONG_TYPES:
         record = json.loads(second)
         key, value = _WRONG_TYPES[case]
@@ -279,7 +289,8 @@ def _bad_sessions(sessions_file, tmp_path, case):
 
 @pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object",
                                   "empty_events", "unknown_device", "unknown_action",
-                                  "string_timestamp", *_WRONG_TYPES])
+                                  "string_timestamp", "negative_start", "start_not_first_event",
+                                  "decreasing_timestamps", *_WRONG_TYPES])
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
 def test_bad_sessions_record_exit_3_with_line(sessions_file, tmp_path, capsys, command, case):
     bad = _bad_sessions(sessions_file, tmp_path, case)

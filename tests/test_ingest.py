@@ -11,7 +11,12 @@ from helpers import (
     random_event_stream,
     session_signatures,
 )
+from shopstream import ingest
 from shopstream.ingest import (
+    ACTIONS,
+    CHANNELS,
+    DEVICES,
+    PAGE_TYPES,
     BadTimestamp,
     BotFilterConfig,
     MalformedLine,
@@ -54,6 +59,28 @@ def test_parse_negative_timestamp():
         parse_event_line(GOOD_LINE.replace("1570000000000", "-5"), 1)
 
 
+@pytest.mark.parametrize("raw", ["1_570_000_000_000", "+1570000000000", "١٥٧٠",
+                                 "1570000000000²", "--5", "-", "1 570"])
+def test_parse_timestamp_only_ascii_digits(raw):
+    with pytest.raises(BadTimestamp) as err:
+        parse_event_line(GOOD_LINE.replace("1570000000000", raw, 1), 4)
+    assert "non-integer" in str(err.value) and err.value.line_no == 4
+
+
+def test_parse_padded_timestamp_and_price():
+    line = " 1570000000000 \tC1\t\tTablet\tPaid\tQuery\tsearch\tshoes\t 1999 \tDE"
+    e = parse_event_line(line, 1)
+    assert e.timestamp == 1570000000000 and e.price == 1999
+
+
+@pytest.mark.parametrize("raw", ["1_000", "+1000", "-1000", "١٥٧٠", "10²"])
+def test_parse_price_only_ascii_digits(raw):
+    line = f"1570000000000\tC1\t\tTablet\tPaid\tQuery\tsearch\tshoes\t{raw}\tDE"
+    with pytest.raises(MalformedLine) as err:
+        parse_event_line(line, 5)
+    assert "bad price" in str(err.value) and err.value.line_no == 5
+
+
 def test_parse_wrong_column_count():
     with pytest.raises(MalformedLine):
         parse_event_line("a\tb\tc", 3)
@@ -68,6 +95,20 @@ def test_parse_case_insensitive_enums():
     line = GOOD_LINE.replace("PC", "pc").replace("Direct", "DIRECT").replace("PageView", "pageview")
     e = parse_event_line(line, 1)
     assert (e.device, e.channel, e.action) == ("PC", "Direct", "PageView")
+
+
+@pytest.mark.parametrize("what, names, lookup", [
+    ("device", DEVICES, ingest._DEVICE_LOOKUP),
+    ("channel", CHANNELS, ingest._CHANNEL_LOOKUP),
+    ("action", ACTIONS, ingest._ACTION_LOOKUP),
+    ("page_type", PAGE_TYPES, ingest._PAGE_LOOKUP),
+])
+def test_decode_enum_every_spelling(what, names, lookup):
+    for name in names:
+        for spelling in (name, name.lower(), name.upper(), f" {name} ", f"\t{name.lower()}\r"):
+            assert ingest._decode_enum(spelling, lookup, what, 1) == name
+    with pytest.raises(UnknownEnum):
+        ingest._decode_enum(names[0] + "x", lookup, what, 1)
 
 
 def test_parse_query_and_price_fields():

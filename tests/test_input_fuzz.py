@@ -51,8 +51,15 @@ def _tsv_mutations(rng):
     def bad_price(cols):
         cols[8] = str(rng.choice(["abc", "12.5", "1e3", "--1"]))
 
+    def not_ascii_digits(cols):
+        # int() takes all of these; the timestamp or the price must not
+        col = (0, 8)[rng.integers(2)]
+        digits = cols[col] or "1999"
+        cols[col] = [digits[:1] + "_" + digits[1:], "+" + digits,
+                     digits.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))][rng.integers(3)]
+
     return [drop_column, add_column, non_integer_timestamp, negative_timestamp,
-            unknown_enum, bad_price]
+            unknown_enum, bad_price, not_ascii_digits]
 
 
 def _jsonl_mutations(rng):
@@ -103,9 +110,21 @@ def _jsonl_mutations(rng):
         where, key, value = changes[rng.integers(len(changes))]
         where[key] = value
 
+    def out_of_order(record, event):
+        # events keep at least two entries, as ingest writes them
+        events = record["events"]
+        case = rng.integers(3)
+        if case == 0:
+            record["start_ms"] = events[0][0] = -1 - int(rng.integers(1000))
+        elif case == 1:
+            record["start_ms"] = events[0][0] + (-1, 1)[rng.integers(2)]
+        else:
+            i = int(rng.integers(1, len(events)))
+            events[i][0] = events[i - 1][0] - 1 - int(rng.integers(1000))
+
     return [truncated] + [edit(f) for f in (drop_key, drop_event_field, add_event_field,
                                             non_integer_timestamp, unknown_enum, bad_price,
-                                            wrong_type)]
+                                            wrong_type, out_of_order)]
 
 
 def _raises_on_line(read, path, lines, index, mutated):

@@ -7,7 +7,9 @@ from shopstream.models import (
     NonFiniteInput,
     SingleClassTraining,
     TrainConfig,
+    N_SHUFFLES,
     class_weights,
+    f1_score,
     fit,
     importance,
     neighbors,
@@ -16,7 +18,7 @@ from shopstream.models import (
     predict_proba,
     sample_weights,
 )
-from shopstream.models.linear import LogisticRegression
+from shopstream.models.linear import LogisticRegression, _sigmoid
 from shopstream.models.mlp import MLPClassifier
 from shopstream.models.neighbors import KNNClassifier, _nearest
 from shopstream.models.trees import GradientBoostingClassifier
@@ -302,3 +304,170 @@ def test_gbdt_monotone_loss_improvement():
     acc_few = (predict(few, X) == y).mean()
     acc_many = (predict(many, X) == y).mean()
     assert acc_many >= acc_few
+
+
+# --- batched paths against the per-call reference loops ----------------------
+
+
+def _permutation_importance_reference(model, X, y, seed=0):
+    """One 2-D predict per shuffled copy of X, drops summed shuffle by shuffle."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    base = f1_score(y, predict(model, X))[2]
+    rng = np.random.default_rng(seed)
+    drops = np.zeros(X.shape[1])
+    for j in range(X.shape[1]):
+        acc = 0.0
+        for _ in range(N_SHUFFLES):
+            Xp = X.copy()
+            Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
+            acc += base - f1_score(y, predict(model, Xp))[2]
+        drops[j] = acc / N_SHUFFLES
+    drops = np.clip(drops, 0.0, None)
+    total = drops.sum()
+    return drops / total if total > 0 else drops
+
+
+def _mlp_fit_reference(X, y, sample_weight, hidden, epochs, learning_rate, seed):
+    """Per-parameter dict Adam on the loss and gradients of every epoch."""
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    params = {
+        "w1": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden)),
+        "b1": np.zeros(hidden),
+        "w2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden),
+        "b2": 0.0,
+    }
+    yf = y.astype(np.float64)
+    m = {k: np.zeros_like(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
+    v = {k: np.zeros_like(np.asarray(vv, dtype=np.float64)) for k, vv in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, epochs + 1):
+        sw = sample_weight / sample_weight.sum()
+        h = np.tanh(X @ params["w1"] + params["b1"])
+        p = _sigmoid(h @ params["w2"] + params["b2"])
+        _loss = -float(np.sum(sw * (yf * np.log(p + 1e-12) + (1 - yf) * np.log(1 - p + 1e-12))))
+        dz = sw * (p - yf)
+        dh = np.outer(dz, params["w2"]) * (1.0 - h * h)
+        grads = {"w1": X.T @ dh, "b1": dh.sum(axis=0), "w2": h.T @ dz, "b2": float(dz.sum())}
+        for k in params:
+            m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
+            v[k] = beta2 * v[k] + (1 - beta2) * np.square(grads[k])
+            m_hat = m[k] / (1 - beta1 ** t)
+            v_hat = v[k] / (1 - beta2 ** t)
+            params[k] = params[k] - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def _knn_holdout_cases():
+    """(X, y, w, Q, y_q) with 60 training rows: tie-heavy data, whose
+    products are exact, and continuous data, whose products round."""
+    for seed in range(3):
+        X, y, w, Q = _tie_heavy(seed=seed)
+        yield X, y, w, Q, np.random.default_rng(seed + 100).integers(0, 2, Q.shape[0])
+        X, y = blobs(seed=seed, n=95, d=6, gap=0.7)
+        yield X[:60], y[:60], np.where(y[:60] == 1, 1.3, 0.8), X[60:], y[60:]
+
+
+# (DISTANCE_BUDGET, STACK_BUDGET) over 60 training rows: the defaults stack
+# every slice; 420 gives 7-row chunks, all 5 slices stacked; 1680 and 1680
+# give 28- and 7-row chunks, one slice per product, then 4 and 1; 1 stacks none
+_BUDGETS = [None, (420, None), (1680, 1680), (None, 1)]
+
+
+def _set_budgets(monkeypatch, budgets):
+    for name, value in zip(("DISTANCE_BUDGET", "STACK_BUDGET"), budgets or ()):
+        if value is not None:
+            monkeypatch.setattr(neighbors, name, value)
+
+
+@pytest.mark.parametrize("budgets", _BUDGETS)
+@pytest.mark.parametrize("k", [1, 5, 60, 63])
+def test_knn_permutation_importance_bit_equal_to_reference(k, budgets, monkeypatch):
+    _set_budgets(monkeypatch, budgets)
+    seen_nonzero = False
+    for i, (X, y, w, Q, y_q) in enumerate(_knn_holdout_cases()):
+        model = KNNClassifier(k=k).fit(X, y, w)
+        got = permutation_importance(model, Q, y_q, seed=i)
+        want = _permutation_importance_reference(model, Q, y_q, seed=i)
+        assert got.tobytes() == want.tobytes(), (i, got, want)
+        seen_nonzero |= bool(got.any())
+    # with k >= n_train every query gets the same vote, so nothing matters
+    assert seen_nonzero == (k < 60)
+
+
+@pytest.mark.parametrize("budgets", _BUDGETS)
+@pytest.mark.parametrize("k", [1, 5, 60, 63])
+def test_knn_batched_predict_proba_bit_equal_per_slice(k, budgets, monkeypatch):
+    _set_budgets(monkeypatch, budgets)
+    for X, y, w, Q, _ in _knn_holdout_cases():
+        model = KNNClassifier(k=k).fit(X, y, w)
+        stack = np.stack([np.random.default_rng(i).permutation(Q) for i in range(5)])
+        got = model.predict_proba(stack)
+        assert got.shape == stack.shape[:2]
+        for i in range(stack.shape[0]):
+            assert got[i].tobytes() == model.predict_proba(stack[i]).tobytes()
+
+
+def test_mlp_permutation_importance_bit_equal_to_reference():
+    for seed in range(3):
+        X, y = blobs(seed=seed, n=120, d=5, gap=0.8)
+        X_test, y_test = blobs(seed=seed + 50, n=60, d=5, gap=0.8)
+        model = fit(X, y, _fast_cfg("mlp", seed=seed, hidden=6, mlp_epochs=40))
+        got = permutation_importance(model, X_test, y_test, seed=seed)
+        want = _permutation_importance_reference(model, X_test, y_test, seed=seed)
+        assert got.tobytes() == want.tobytes(), (seed, got, want)
+        assert got.any()
+
+
+def test_mlp_batched_predict_proba_bit_equal_per_slice():
+    X, y = blobs(seed=4, n=150, d=23, gap=0.5)
+    model = fit(X[:100], y[:100], _fast_cfg("mlp", hidden=32, mlp_epochs=20))
+    stack = np.stack([np.random.default_rng(i).permutation(X[100:]) for i in range(5)])
+    got = predict_proba(model, stack)
+    assert got.shape == stack.shape[:2]
+    for i in range(stack.shape[0]):
+        assert got[i].tobytes() == predict_proba(model, stack[i]).tobytes()
+
+
+@pytest.mark.parametrize("n, d, hidden, epochs", [(20, 3, 4, 1), (57, 6, 5, 30), (200, 23, 32, 100), (9, 1, 1, 7)])
+def test_mlp_fit_bit_equal_to_reference(n, d, hidden, epochs):
+    X, y = blobs(seed=n + d, n=n, d=d, gap=0.5)
+    y[:2] = (0, 1)
+    sw = sample_weights(y, True)
+    model = MLPClassifier(hidden, epochs, 0.02, seed=d).fit(X, y, sw)
+    want = _mlp_fit_reference(X, y, sw, hidden, epochs, 0.02, seed=d)
+    for key in ("w1", "b1", "w2"):
+        assert getattr(model, key).tobytes() == want[key].tobytes(), key
+    assert model.b2 == float(want["b2"])
+    assert isinstance(model.b2, float)
+
+
+@pytest.mark.parametrize("kind", ["lr", "svm", "rf", "gbdt"])
+def test_other_kinds_permutation_importance_bit_equal_to_reference(kind):
+    # importance() uses coefficients or impurity for these, but every kind
+    # takes the stacked batch
+    X, y = blobs(seed=13, n=160, d=4, gap=0.6)
+    model = fit(X[:100], y[:100], _fast_cfg(kind, n_trees=5, gbdt_rounds=5, epochs=30))
+    got = permutation_importance(model, X[100:], y[100:], seed=2)
+    want = _permutation_importance_reference(model, X[100:], y[100:], seed=2)
+    assert got.tobytes() == want.tobytes()
+    assert got.any()
+
+
+@pytest.mark.parametrize("kind", ["knn", "mlp"])
+def test_permutation_importance_one_predict_per_feature(kind):
+    X, y = blobs(seed=8, n=120, d=6)
+    model = fit(X, y, _fast_cfg(kind, mlp_epochs=5))
+    calls = []
+    real = model.predict_proba
+
+    def counting(X):
+        calls.append(X.shape)
+        return real(X)
+
+    model.predict_proba = counting
+    permutation_importance(model, X[:40], y[:40], seed=1)
+    # the unshuffled baseline, then one stack of N_SHUFFLES copies per feature
+    assert len(calls) <= X.shape[1] + 1
+    assert calls[1:] == [(N_SHUFFLES, 40, X.shape[1])] * X.shape[1]
