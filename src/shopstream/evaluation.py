@@ -37,6 +37,10 @@ from .models import (
 from .sessions import build_journeys
 
 
+# pages a session needs beyond the largest step to enter the protocol
+BUFFER = 2
+
+
 class TooFewSessions(ValueError):
     pass
 
@@ -64,18 +68,16 @@ def kfold_split(ids, labels, k: int, seed: int) -> list[list]:
 @dataclass
 class ProtocolConfig:
     steps: tuple = tuple(range(11))
-    buffer: int = 2
     folds: int = 10
     settings: tuple = SETTINGS
     variants: tuple = VARIANTS
     models: tuple = MODEL_KINDS
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
-    markov_alpha: float = 1.0
 
     @property
     def min_pages(self) -> int:
-        return max(self.steps) + self.buffer
+        return max(self.steps) + BUFFER
 
     def __post_init__(self):
         """Every list is non-empty, without repeats, and holds only known
@@ -224,9 +226,7 @@ def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
     train_journeys = build_journeys(
         s for s in all_sessions if s.session_id not in eval_set
     )
-    ctx = fit_feature_context(
-        [builder.sessions[i] for i in train_rows], train_journeys, cfg.markov_alpha
-    )
+    ctx = fit_feature_context([builder.sessions[i] for i in train_rows], train_journeys)
     train = builder.fold(train_rows, train_journeys, ctx)
     held_out = builder.fold(eval_rows, full_journeys, ctx)
 

@@ -8,28 +8,21 @@ the four dynamic session features (plus the dwell-count indicator that lets
 models tell "no data" from a zero dwell).
 
 All statistics carried by a FeatureContext (Markov chains, device conversion
-table) must be fitted on training sessions only; extraction itself reads
-nothing beyond the requested step.
+table) must be fitted on training sessions only; the dynamic columns at a
+step read nothing beyond its page views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import markov
 from .analytics import session_start_cet
 from .ingest import CHANNELS, DEVICES, PAGE_TYPES
-from .sessions import (
-    Journey,
-    Session,
-    StepOutOfRange,
-    dwell_stats_at_step,
-    dwell_times,
-    history_snapshot,
-)
+from .sessions import Journey, Session, dwell_times, history_snapshot
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -48,38 +41,36 @@ class ShortSession(ValueError):
 class FeatureDescriptor(NamedTuple):
     name: str
     kind: str  # "dynamic" | "static"
-    scope: str  # "session" | "history"
-    in_baseline: bool
-    encoding: str = "numeric"  # "numeric" | "one-hot"
 
 
 def _dynamic_block() -> list[FeatureDescriptor]:
     return [
-        FeatureDescriptor("dwell_mean", "dynamic", "session", True),
-        FeatureDescriptor("dwell_std", "dynamic", "session", True),
-        FeatureDescriptor("page_sequence_score", "dynamic", "session", True),
-        FeatureDescriptor("n_pages", "dynamic", "session", True),
-        FeatureDescriptor("dwell_count", "dynamic", "session", True),
+        FeatureDescriptor("dwell_mean", "dynamic"),
+        FeatureDescriptor("dwell_std", "dynamic"),
+        FeatureDescriptor("page_sequence_score", "dynamic"),
+        FeatureDescriptor("n_pages", "dynamic"),
+        FeatureDescriptor("dwell_count", "dynamic"),
     ]
 
 
 def _static_session_block() -> list[FeatureDescriptor]:
-    block = [FeatureDescriptor(f"channel={c}", "static", "session", False, "one-hot") for c in CHANNELS]
-    block.append(FeatureDescriptor("start_hour", "static", "session", False))
-    block += [FeatureDescriptor(f"weekday={w}", "static", "session", False, "one-hot") for w in WEEKDAY_NAMES]
-    block += [FeatureDescriptor(f"device={d}", "static", "session", False, "one-hot") for d in DEVICES]
-    block.append(FeatureDescriptor("device_conversion_rate", "static", "session", False))
+    block = [FeatureDescriptor(f"channel={c}", "static") for c in CHANNELS]
+    block.append(FeatureDescriptor("start_hour", "static"))
+    block += [FeatureDescriptor(f"weekday={w}", "static") for w in WEEKDAY_NAMES]
+    block += [FeatureDescriptor(f"device={d}", "static") for d in DEVICES]
+    block.append(FeatureDescriptor("device_conversion_rate", "static"))
     return block
 
 
 def _history_block() -> list[FeatureDescriptor]:
+    """In catalog order; the baseline variant keeps the first two."""
     return [
-        FeatureDescriptor("orders", "static", "history", True),
-        FeatureDescriptor("days_since_last_purchase", "static", "history", True),
-        FeatureDescriptor("n_sessions", "static", "history", False),
-        FeatureDescriptor("n_devices", "static", "history", False),
-        FeatureDescriptor("device_sequence_score", "static", "history", False),
-        FeatureDescriptor("switch_probability", "static", "history", False),
+        FeatureDescriptor("orders", "static"),
+        FeatureDescriptor("days_since_last_purchase", "static"),
+        FeatureDescriptor("n_sessions", "static"),
+        FeatureDescriptor("n_devices", "static"),
+        FeatureDescriptor("device_sequence_score", "static"),
+        FeatureDescriptor("switch_probability", "static"),
     ]
 
 
@@ -98,9 +89,7 @@ def catalog(setting: str, variant: str) -> list[FeatureDescriptor]:
         feats += _static_session_block()
     if setting == "identified":
         history = _history_block()
-        if variant == "baseline":
-            history = [f for f in history if f.in_baseline]
-        feats += history
+        feats += history if variant == "extended" else history[:2]
     return feats
 
 
@@ -134,8 +123,9 @@ class FeatureContext:
         }
 
 
-def fit_feature_context(train_sessions, train_journeys, alpha: float = 1.0) -> FeatureContext:
-    """Fit Markov chains and the device conversion table on training data only."""
+def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
+    """Fit Laplace-smoothed Markov chains and the device conversion table on
+    training data only."""
     page_seqs = {True: [], False: []}
     for s in train_sessions:
         page_seqs[s.purchase].append(s.page_type_sequence())
@@ -156,10 +146,10 @@ def fit_feature_context(train_sessions, train_journeys, alpha: float = 1.0) -> F
     n_total = sum(totals.values())
     n_purchase = sum(purchases.values())
     return FeatureContext(
-        page_chain_purchase=markov.fit(page_seqs[True], PAGE_TYPES, alpha),
-        page_chain_nonpurchase=markov.fit(page_seqs[False], PAGE_TYPES, alpha),
-        device_chain_purchase=markov.fit(device_seqs[True], DEVICES, alpha),
-        device_chain_nonpurchase=markov.fit(device_seqs[False], DEVICES, alpha),
+        page_chain_purchase=markov.fit(page_seqs[True], PAGE_TYPES),
+        page_chain_nonpurchase=markov.fit(page_seqs[False], PAGE_TYPES),
+        device_chain_purchase=markov.fit(device_seqs[True], DEVICES),
+        device_chain_nonpurchase=markov.fit(device_seqs[False], DEVICES),
         device_conversion={d: purchases.get(d, 0) / t for d, t in totals.items()},
         global_conversion=(n_purchase / n_total) if n_total else 0.0,
     )
@@ -199,49 +189,17 @@ def _history_columns(s: Session, j: Journey, ctx: FeatureContext) -> list[float]
     ]
 
 
-def extract(
-    s: Session,
-    j: Optional[Journey],
-    step: int,
-    setting: str,
-    variant: str,
-    ctx: FeatureContext,
-    min_pages: int = 0,
-) -> np.ndarray:
-    """Encode one session at one step; reference implementation.
-
-    Reads nothing past the first `step` page views for dynamic features.
-    min_pages > 0 enforces the protocol's short-session filter here.
-    """
-    n_pv = s.n_page_views
-    if min_pages and n_pv < min_pages:
-        raise ShortSession(f"session {s.session_id} has {n_pv} page views < {min_pages}")
-    if step < 0 or step > n_pv:
-        raise StepOutOfRange(f"step {step} outside [0, {n_pv}]")
-    if setting == "identified" and j is None:
-        raise MissingJourney(f"no journey for session {s.session_id}")
-
-    stats = dwell_stats_at_step(s, step)
-    page_score = markov.class_score(
-        ctx.page_chain_purchase, ctx.page_chain_nonpurchase, s.page_type_sequence(step)
-    )
-    row = [stats.mean, stats.std, page_score, float(step), float(stats.count)]
-    if variant == "extended":
-        row += _session_columns(s) + [device_conversion_feature(ctx, s.device)]
-    if setting == "identified":
-        history = _history_columns(s, j, ctx)
-        row += history if variant == "extended" else history[:2]
-    return np.array(row, dtype=np.float64)
-
-
 class StepMatrixBuilder:
     """Feature matrices of one setting's sessions at many steps.
 
     The constructor computes what depends on the sessions alone, once:
     labels, dwell prefix statistics, the page-type pairs the steps score and
     the channel/hour/weekday/device block. fold() computes the columns fitted
-    on a fold for some of the sessions, and matrix() stacks both. Produces
-    exactly the same rows as extract()."""
+    on a fold for some of the sessions, and matrix() stacks both.
+
+    Dwell statistics use the population (divide-by-n) standard deviation and
+    an expanding window over the pages seen so far. The dwell of a session's
+    final action is undefined and excluded rather than imputed."""
 
     def __init__(self, sessions, setting, steps, min_pages: int = 12):
         self.sessions = list(sessions)

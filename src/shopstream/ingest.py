@@ -6,8 +6,9 @@ The wire format is UTF-8 TSV, one event per line, columns in order:
     page_type, query_text, price_cents, country
 
 customer_id, query_text and price_cents may be empty. A header line is
-optional and detected by a non-numeric first field. Files ending in ``.gz``
-are transparently decompressed.
+optional: line 1 is one when its first field is the column name
+``timestamp_ms`` (any case, surrounding blanks ignored). Files ending in
+``.gz`` are transparently decompressed.
 """
 
 from __future__ import annotations
@@ -150,17 +151,16 @@ def parse_event_line(line: str, line_no: int = 0) -> RawEvent:
 def read_events(path) -> Iterator[RawEvent]:
     """Stream RawEvents from a TSV file (gzip accepted by .gz extension).
 
-    A header line is skipped when its first field is non-numeric.
+    Line 1 is skipped as a header when its first field is timestamp_ms;
+    any other line 1 is parsed as an event.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if line_no == 1:
-                first = line.split("\t", 1)[0].strip()
-                if not first.lstrip("-").isdigit():
-                    continue  # header
+            if line_no == 1 and line.split("\t", 1)[0].strip().lower() == "timestamp_ms":
+                continue
             yield parse_event_line(line, line_no)
 
 

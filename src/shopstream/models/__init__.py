@@ -49,7 +49,6 @@ class LengthMismatch(ValueError):
 @dataclass
 class TrainConfig:
     kind: str = "rf"
-    class_weighting: bool = True
     seed: int = 0
     # trees
     n_trees: int = 200
@@ -100,9 +99,7 @@ def class_weights(y: np.ndarray) -> dict:
     return weights
 
 
-def sample_weights(y: np.ndarray, class_weighting: bool) -> np.ndarray:
-    if not class_weighting:
-        return np.ones(y.size)
+def sample_weights(y: np.ndarray) -> np.ndarray:
     cw = class_weights(y)
     return np.array([cw[int(c)] for c in y])
 
@@ -137,7 +134,7 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig):
         raise NonFiniteInput("feature matrix contains NaN or inf")
     if np.unique(y).size < 2:
         raise SingleClassTraining("training labels contain a single class")
-    sw = sample_weights(y, cfg.class_weighting)
+    sw = sample_weights(y)
     model = _build(cfg)
     model.fit(X, y, sw)
     model.n_features_in_ = X.shape[1]

@@ -1,24 +1,14 @@
-"""In-memory session and customer-journey model with derived quantities.
-
-Dwell statistics use the population (divide-by-n) standard deviation and an
-expanding window over the pages seen so far. The dwell of a session's final
-action is undefined and excluded rather than imputed.
-"""
+"""In-memory session and customer-journey model with derived quantities."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from types import NoneType
 from typing import NamedTuple, Optional
 
 from .analytics import MS_PER_DAY
 from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum
-
-
-class StepOutOfRange(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -60,17 +50,6 @@ class Session:
         """Page types of the first `step` page views (all when step is None)."""
         seq = [e.page_type for e in self.events if e.action == "PageView"]
         return seq if step is None else seq[:step]
-
-
-class DwellStats(NamedTuple):
-    mean: float
-    std: float
-    count: int
-
-
-class DeviceSwitchReport(NamedTuple):
-    pairs: list
-    switch_probability: float
 
 
 class HistorySummary(NamedTuple):
@@ -116,42 +95,10 @@ def dwell_times(s: Session) -> list[float]:
     return out
 
 
-def _population_stats(values) -> tuple[float, float]:
-    n = len(values)
-    if n == 0:
-        return 0.0, 0.0
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(var)
-
-
-def dwell_stats_at_step(s: Session, step: int) -> DwellStats:
-    """Expanding-window dwell mean/std over the first `step` page views.
-
-    Only page views with a defined dwell contribute; step 0 returns the
-    (0, 0, 0) sentinel. Raises StepOutOfRange when step exceeds the number
-    of page views in the session.
-    """
-    if step < 0 or step > s.n_page_views:
-        raise StepOutOfRange(f"step {step} outside [0, {s.n_page_views}]")
-    window = dwell_times(s)[:step]
-    # the final action never carries a dwell, so the window may be shorter than step
-    mean, std = _population_stats(window)
-    return DwellStats(mean=mean, std=std, count=len(window))
-
-
 def _switch_probability(devices) -> float:
     """Fraction of consecutive devices that differ; 0.0 for fewer than two."""
     switches = sum(a != b for a, b in zip(devices, devices[1:]))
     return switches / (len(devices) - 1) if len(devices) > 1 else 0.0
-
-
-def device_switches(j: Journey) -> DeviceSwitchReport:
-    """Device pairs of consecutive sessions and the fraction that differ."""
-    devs = [s.device for s in j.sessions]
-    return DeviceSwitchReport(
-        pairs=list(zip(devs, devs[1:])), switch_probability=_switch_probability(devs)
-    )
 
 
 def history_snapshot(j: Optional[Journey], at: int) -> HistorySummary:
@@ -201,8 +148,9 @@ def session_from_json(line: str) -> Session:
     """Decode one sessions.jsonl record. Values must be the canonical ones
     the writer emits: an empty event list, a value of another JSON type, a
     negative start_ms, a start_ms other than the first event's timestamp or
-    event timestamps that decrease raise MalformedLine, and a device,
-    channel, action or page type outside ingest's alphabets UnknownEnum."""
+    event timestamps that decrease or a purchase flag that disagrees with
+    the events' Purchase actions raise MalformedLine, and a device, channel,
+    action or page type outside ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
     country = rec.get("country", "")
     token, customer = rec["client_token"], rec["customer_id"]
@@ -214,6 +162,7 @@ def session_from_json(line: str) -> Session:
     if not events:
         raise MalformedLine("session has no events")
     stamps = [e.timestamp for e in events]
+    actions = {e.action for e in events}
     # the exact types session_to_json writes, so a bool is not an int
     for what, found, allowed in (
         ("session_id", {type(rec["session_id"])}, (str,)),
@@ -233,7 +182,7 @@ def session_from_json(line: str) -> Session:
     for what, values, alphabet in (
         ("device", {device}, DEVICES),
         ("channel", {channel}, CHANNELS),
-        ("action", {e.action for e in events}, ACTIONS),
+        ("action", actions, ACTIONS),
         ("page_type", {e.page_type for e in events}, PAGE_TYPES),
     ):
         unknown = values.difference(alphabet)
@@ -246,6 +195,9 @@ def session_from_json(line: str) -> Session:
         raise MalformedLine(f"start_ms {rec['start_ms']} is not the first event's timestamp {stamps[0]}")
     if stamps != sorted(stamps):
         raise MalformedLine("event timestamps decrease")
+    if rec["purchase"] != ("Purchase" in actions):
+        raise MalformedLine(f"purchase is {json.dumps(rec['purchase'])} but "
+                            f"{'no' if rec['purchase'] else 'an'} event is a Purchase")
     return Session(
         session_id=rec["session_id"],
         client_token=token,

@@ -7,14 +7,20 @@ compare two separately derived answers.
 
 from __future__ import annotations
 
+import math
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 
-from shopstream.ingest import RawEvent
+from shopstream import markov
+from shopstream.ingest import CHANNELS, DEVICES, RawEvent
 from shopstream.sessions import Session
 
 MS = 1000
 MINUTE = 60 * MS
 IDLE_MS = 30 * MINUTE
+DAY_MS = 86_400_000
+CET = timezone(timedelta(hours=1))  # fixed UTC+1, no daylight saving
 
 
 def mk_event(
@@ -178,6 +184,64 @@ def brute_force_prf(y_true, y_pred):
     if precision + recall == 0:
         return precision, recall, 0.0
     return precision, recall, 2 * precision * recall / (precision + recall)
+
+
+def reference_row(s, journey, step, setting, variant, ctx):
+    """One session's feature row at one step, in catalog order, derived from
+    the events without the library's encoders: page views and their dwells
+    by an explicit scan, a two-pass population std, datetime for the CET
+    start, and a recount of the journey's sessions that ended before s.
+    Sequence scores come from markov.class_score, which test_markov checks
+    against brute_force_chain_probs."""
+    dwells = []
+    pages = []
+    for i, e in enumerate(s.events):
+        if e.action != "PageView":
+            continue
+        if len(pages) < step and i + 1 < len(s.events):
+            dwells.append((s.events[i + 1].timestamp - e.timestamp) / 1000.0)
+        pages.append(e.page_type)
+    mean = sum(dwells) / len(dwells) if dwells else 0.0
+    std = math.sqrt(sum((d - mean) ** 2 for d in dwells) / len(dwells)) if dwells else 0.0
+    page_score = markov.class_score(ctx.page_chain_purchase, ctx.page_chain_nonpurchase, pages[:step])
+    row = [mean, std, page_score, float(step), float(len(dwells))]
+    if variant == "extended":
+        start = datetime.fromtimestamp(s.start_time / 1000, tz=CET)
+        row += [1.0 if s.channel == c else 0.0 for c in CHANNELS]
+        row.append(float(start.hour))
+        row += [1.0 if start.weekday() == w else 0.0 for w in range(7)]
+        row += [1.0 if s.device == d else 0.0 for d in DEVICES]
+        row.append(ctx.device_conversion.get(s.device, ctx.global_conversion))
+    if setting == "identified":
+        prior = sorted(
+            (p for p in journey.sessions if p.events[-1].timestamp < s.start_time),
+            key=lambda p: (p.start_time, p.session_id),
+        )
+        orders = 0
+        last_purchase_end = None
+        for p in prior:
+            if p.purchase:
+                orders += 1
+                end = p.events[-1].timestamp
+                if last_purchase_end is None or end > last_purchase_end:
+                    last_purchase_end = end
+        days = -1.0 if last_purchase_end is None else (s.start_time - last_purchase_end) / DAY_MS
+        devices = [p.device for p in prior]
+        switches = 0
+        for a, b in zip(devices, devices[1:]):
+            if a != b:
+                switches += 1
+        history = [
+            float(orders),
+            days,
+            float(len(prior)),
+            float(len(set(devices))),
+            markov.class_score(ctx.device_chain_purchase, ctx.device_chain_nonpurchase,
+                               devices + [s.device]),
+            switches / (len(devices) - 1) if len(devices) > 1 else 0.0,
+        ]
+        row += history if variant == "extended" else history[:2]
+    return np.array(row)
 
 
 def brute_force_chain_probs(sequences, alphabet, alpha):

@@ -102,6 +102,9 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("evaluate", "epochs=0"),
     ("evaluate", "gbdt_rate=0"),
     ("evaluate", "l2=-1"),
+    ("evaluate", "buffer=3"),  # the protocol's filter, smoothing and weights are fixed
+    ("evaluate", "markov_alpha=0.5"),
+    ("evaluate", "class_weighting=false"),
 ])
 def test_unknown_config_key_exit_2(tmp_path, capsys, command, setting):
     # settings are checked before any input is read: the input need not exist
@@ -277,6 +280,15 @@ def _bad_sessions(sessions_file, tmp_path, case):
         else:
             record["events"][-1][0] = stamps[-2] - 1
         second = json.dumps(record)
+    elif case in ("purchase_without_event", "event_without_purchase"):
+        record = json.loads(second)
+        for event in record["events"]:
+            if event[1] == "Purchase":
+                event[1] = "AddToBasket"
+        if case == "event_without_purchase":
+            record["events"][-1][1] = "Purchase"
+        record["purchase"] = case == "purchase_without_event"
+        second = json.dumps(record)
     elif case in _WRONG_TYPES:
         record = json.loads(second)
         key, value = _WRONG_TYPES[case]
@@ -290,7 +302,8 @@ def _bad_sessions(sessions_file, tmp_path, case):
 @pytest.mark.parametrize("case", ["truncated", "missing_events", "not_an_object",
                                   "empty_events", "unknown_device", "unknown_action",
                                   "string_timestamp", "negative_start", "start_not_first_event",
-                                  "decreasing_timestamps", *_WRONG_TYPES])
+                                  "decreasing_timestamps", "purchase_without_event",
+                                  "event_without_purchase", *_WRONG_TYPES])
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
 def test_bad_sessions_record_exit_3_with_line(sessions_file, tmp_path, capsys, command, case):
     bad = _bad_sessions(sessions_file, tmp_path, case)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MS, mk_event, mk_session
+from helpers import DAY_MS, MS, mk_event, mk_session, reference_row
 from shopstream import markov
 from shopstream.features import (
     MissingJourney,
@@ -9,15 +9,14 @@ from shopstream.features import (
     StepMatrixBuilder,
     catalog,
     device_conversion_feature,
-    extract,
     feature_names,
     fit_feature_context,
     static_mask,
 )
-from shopstream.sessions import Journey, StepOutOfRange, build_journeys, history_snapshot
+from shopstream.sessions import Journey, build_journeys, history_snapshot
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES
 
-DAY_MS = 86_400_000
+HOUR_MS = 3_600_000
 
 
 def _session(times_s, pages=None, device="PC", channel="Direct", customer=None,
@@ -33,6 +32,13 @@ def _session(times_s, pages=None, device="PC", channel="Direct", customer=None,
         events.append(mk_event(last, customer=customer, device=device, channel=channel,
                                action="Purchase", page="checkout"))
     return mk_session(events, session_id=sid, customer=customer, device=device, channel=channel)
+
+
+def _encode(sessions, step, setting, variant, ctx, journeys=None):
+    """Rows of sessions at one step, as the protocol's builder encodes them
+    with no page filter."""
+    builder = StepMatrixBuilder(sessions, setting, [step], min_pages=0)
+    return builder.matrix(step, variant, builder.fold(np.arange(len(sessions)), journeys or {}, ctx))[0]
 
 
 @pytest.fixture()
@@ -77,7 +83,7 @@ def test_static_mask_marks_dynamics_false():
 
 def test_extract_step0_sentinels(ctx):
     s = _session(list(range(0, 130, 10)))
-    vec = extract(s, None, 0, "anonymous", "baseline", ctx)
+    vec = _encode([s], 0, "anonymous", "baseline", ctx)[0]
     assert vec.shape == (5,)
     assert np.array_equal(vec, np.zeros(5))
 
@@ -85,7 +91,7 @@ def test_extract_step0_sentinels(ctx):
 def test_extract_hand_example_step3(ctx):
     # dwells 30, 15, 45 over the first three page views
     s = _session([0, 30, 45, 90], pages=["home", "search", "product", "home"], channel="Paid")
-    vec = extract(s, None, 3, "anonymous", "extended", ctx)
+    vec = _encode([s], 3, "anonymous", "extended", ctx)[0]
     names = feature_names("anonymous", "extended")
     row = dict(zip(names, vec))
     assert row["dwell_mean"] == pytest.approx(30.0)
@@ -114,7 +120,7 @@ def test_extract_identified_matches_recount(ctx):
     current = _session([0, 10, 25, 60], customer=customer, device="PC", sid="cur",
                        start_offset=10 * DAY_MS)
     journey = Journey(customer, older + [current])
-    vec = extract(current, journey, 2, "identified", "extended", ctx)
+    vec = _encode([current], 2, "identified", "extended", ctx, {customer: journey})[0]
     row = dict(zip(feature_names("identified", "extended"), vec))
     hist = history_snapshot(journey, current.start_time)
     assert row["orders"] == hist.orders == 1
@@ -130,12 +136,10 @@ def test_extract_identified_matches_recount(ctx):
 
 def test_extract_errors(ctx):
     s = _session([0, 10, 20])
-    with pytest.raises(StepOutOfRange):
-        extract(s, None, 4, "anonymous", "baseline", ctx)
     with pytest.raises(ShortSession):
-        extract(s, None, 1, "anonymous", "baseline", ctx, min_pages=12)
+        StepMatrixBuilder([s], "anonymous", [1], min_pages=12)
     with pytest.raises(MissingJourney):
-        extract(s, None, 1, "identified", "baseline", ctx)
+        StepMatrixBuilder([s], "identified", [1], min_pages=0).fold([0], {}, ctx)
 
 
 def test_extract_reads_nothing_past_step(ctx):
@@ -149,8 +153,7 @@ def test_extract_reads_nothing_past_step(ctx):
         t += (37 + 11 * i) * MS
         events.append(mk_event(t, page="basket", device="PC"))
     s2 = mk_session(events, session_id="same")
-    v1 = extract(s1, None, 3, "anonymous", "extended", ctx)
-    v2 = extract(s2, None, 3, "anonymous", "extended", ctx)
+    v1, v2 = _encode([s1, s2], 3, "anonymous", "extended", ctx)
     assert np.array_equal(v1, v2)
 
 
@@ -167,6 +170,7 @@ def test_device_conversion_feature_value_and_fallback():
 
 
 def _random_corpus(rng, n, customer_share=0.5):
+    # starts 53 hours apart: any 24 consecutive sessions start in 24 different CET hours
     sessions = []
     for i in range(n):
         n_pages = int(rng.integers(13, 20))
@@ -178,12 +182,12 @@ def _random_corpus(rng, n, customer_share=0.5):
                      device=DEVICES[int(rng.integers(len(DEVICES)))],
                      channel=CHANNELS[int(rng.integers(len(CHANNELS)))],
                      customer=customer, purchase=bool(rng.random() < 0.3),
-                     sid=f"r{i}", start_offset=i * 2 * DAY_MS)
+                     sid=f"r{i}", start_offset=i * (2 * DAY_MS + 5 * HOUR_MS))
         )
     return sessions
 
 
-def test_builder_matches_extract_all_configs():
+def test_builder_matches_reference_all_configs():
     rng = np.random.default_rng(123)
     sessions = _random_corpus(rng, 30)
     journeys = build_journeys(sessions)
@@ -199,11 +203,11 @@ def test_builder_matches_extract_all_configs():
                 assert np.array_equal(y, [1 if s.purchase else 0 for s in subset])
                 for i, s in enumerate(subset):
                     j = journeys.get(s.customer_id) if s.customer_id else None
-                    ref = extract(s, j, step, setting, variant, ctx, min_pages=12)
+                    ref = reference_row(s, j, step, setting, variant, ctx)
                     assert np.allclose(X[i], ref, atol=1e-12), (setting, variant, step, i)
 
 
-def test_builder_fold_rows_match_extract_with_their_journeys():
+def test_builder_fold_rows_match_reference_with_their_journeys():
     # built once over the corpus; a fold's training rows read journeys built
     # without the held-out sessions, its held-out rows the full journeys
     rng = np.random.default_rng(321)
@@ -229,7 +233,7 @@ def test_builder_fold_rows_match_extract_with_their_journeys():
                     for r, i in enumerate(rows):
                         s = pool[i]
                         j = journeys.get(s.customer_id) if s.customer_id else None
-                        ref = extract(s, j, step, setting, variant, ctx, min_pages=13)
+                        ref = reference_row(s, j, step, setting, variant, ctx)
                         assert np.allclose(X[r], ref, atol=1e-12), (setting, variant, step, i)
 
 

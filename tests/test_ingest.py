@@ -117,6 +117,15 @@ def test_parse_query_and_price_fields():
     assert e.query_text == "shoes" and e.price == 1999 and e.customer_id is None
 
 
+@pytest.mark.parametrize("raw", ["+1570000000000", "1_570000000000", "abc"])
+def test_read_events_line_1_is_parsed_unless_a_header(tmp_path, raw):
+    path = tmp_path / "events.tsv"
+    path.write_text(GOOD_LINE.replace("1570000000000", raw, 1) + "\n" + GOOD_LINE + "\n")
+    with pytest.raises(BadTimestamp) as err:
+        list(read_events(path))
+    assert err.value.line_no == 1
+
+
 def test_read_events_header_and_gzip(tmp_path):
     body = "timestamp_ms\tclient_token\tcustomer_id\tdevice\tchannel\taction\tpage_type\tquery_text\tprice_cents\tcountry\n"
     body += GOOD_LINE + "\n"

@@ -110,6 +110,9 @@ def _jsonl_mutations(rng):
         where, key, value = changes[rng.integers(len(changes))]
         where[key] = value
 
+    def flip_purchase(record, event):
+        record["purchase"] = not record["purchase"]
+
     def out_of_order(record, event):
         # events keep at least two entries, as ingest writes them
         events = record["events"]
@@ -124,7 +127,7 @@ def _jsonl_mutations(rng):
 
     return [truncated] + [edit(f) for f in (drop_key, drop_event_field, add_event_field,
                                             non_integer_timestamp, unknown_enum, bad_price,
-                                            wrong_type, out_of_order)]
+                                            wrong_type, flip_purchase, out_of_order)]
 
 
 def _raises_on_line(read, path, lines, index, mutated):
@@ -142,8 +145,7 @@ def test_mutated_inputs_raise_only_ingest_errors(corpus, tmp_path, seed):
     tsv, jsonl = tmp_path / "events.tsv", tmp_path / "sessions.jsonl"
     for mutate in _tsv_mutations(rng):
         for _ in range(N_MUTATIONS):
-            # from line 2 on: a line 1 whose first field is not a number is a header
-            index = int(rng.integers(1, len(events)))
+            index = int(rng.integers(len(events)))
             cols = events[index].split("\t")
             mutate(cols)
             _raises_on_line(lambda p: list(read_events(p)), tsv, events, index, "\t".join(cols))

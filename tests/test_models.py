@@ -54,9 +54,8 @@ def test_class_weight_formula():
     cw = class_weights(y)
     assert cw[1] == pytest.approx(5.0)
     assert cw[0] == pytest.approx(100 / 180)
-    sw = sample_weights(y, True)
+    sw = sample_weights(y)
     assert sw[0] == pytest.approx(5.0) and sw[-1] == pytest.approx(0.5556, abs=1e-4)
-    assert np.array_equal(sample_weights(y, False), np.ones(100))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -174,10 +173,11 @@ def test_lr_weighting_equals_duplication():
     X = np.vstack([X_pos, X_neg])
     y = np.array([1] * n_pos + [0] * n_neg)
 
-    weighted = fit(X, y, TrainConfig(kind="lr", class_weighting=True, epochs=800))
+    weighted = fit(X, y, TrainConfig(kind="lr", epochs=800))
     X_dup = np.vstack([np.repeat(X_pos, 9, axis=0), X_neg])
     y_dup = np.array([1] * (9 * n_pos) + [0] * n_neg)
-    duplicated = fit(X_dup, y_dup, TrainConfig(kind="lr", class_weighting=False, epochs=800))
+    # the same learner, fitted without class weights
+    duplicated = LogisticRegression(0.5, 800, 1e-4).fit(X_dup, y_dup, np.ones(len(y_dup)))
     assert np.abs(weighted.coef_ - duplicated.coef_).max() <= 1e-3
     assert abs(weighted.intercept_ - duplicated.intercept_) <= 1e-3
 
@@ -434,7 +434,7 @@ def test_mlp_batched_predict_proba_bit_equal_per_slice():
 def test_mlp_fit_bit_equal_to_reference(n, d, hidden, epochs):
     X, y = blobs(seed=n + d, n=n, d=d, gap=0.5)
     y[:2] = (0, 1)
-    sw = sample_weights(y, True)
+    sw = sample_weights(y)
     model = MLPClassifier(hidden, epochs, 0.02, seed=d).fit(X, y, sw)
     want = _mlp_fit_reference(X, y, sw, hidden, epochs, 0.02, seed=d)
     for key in ("w1", "b1", "w2"):

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import MS, mk_event, mk_session, pageview_session
+from shopstream.features import StepMatrixBuilder, feature_names, fit_feature_context
 from shopstream.sessions import (
     Journey,
-    StepOutOfRange,
     build_journeys,
-    device_switches,
-    dwell_stats_at_step,
     dwell_times,
     history_snapshot,
     read_sessions,
@@ -51,33 +49,36 @@ def test_dwell_times_matches_pairwise_differences():
     assert dwell_times(s) == expected
 
 
+def _dwell_columns(s, step):
+    """(dwell_mean, dwell_std, n_pages, dwell_count) of s at one step, as the
+    protocol's feature builder encodes them with no page filter."""
+    builder = StepMatrixBuilder([s], "anonymous", [step], min_pages=0)
+    fold = builder.fold([0], {}, fit_feature_context([s], {}))
+    row = dict(zip(feature_names("anonymous", "baseline"), builder.matrix(step, "baseline", fold)[0][0]))
+    return [row[n] for n in ("dwell_mean", "dwell_std", "n_pages", "dwell_count")]
+
+
 def test_dwell_stats_hand_example():
     s = mk_session([
         mk_event(0),
         mk_event(30 * MS),
         mk_event(45 * MS, action="Query", page="search", query="q"),
     ])
-    stats = dwell_stats_at_step(s, 2)
-    assert stats.mean == pytest.approx(22.5)
-    assert stats.std == pytest.approx(7.5)
-    assert stats.count == 2
+    mean, std, n_pages, count = _dwell_columns(s, 2)
+    assert mean == pytest.approx(22.5)
+    assert std == pytest.approx(7.5)
+    assert n_pages == count == 2
 
 
 def test_dwell_stats_step_zero_sentinel():
     s = pageview_session([0, 30])
-    assert dwell_stats_at_step(s, 0) == (0.0, 0.0, 0)
+    assert _dwell_columns(s, 0) == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_dwell_stats_single_sample():
     s = pageview_session([0, 30])
-    stats = dwell_stats_at_step(s, 1)
-    assert stats.mean == pytest.approx(30.0) and stats.std == 0.0 and stats.count == 1
-
-
-def test_dwell_stats_out_of_range():
-    s = pageview_session([0, 30])
-    with pytest.raises(StepOutOfRange):
-        dwell_stats_at_step(s, 3)
+    mean, std, _, count = _dwell_columns(s, 1)
+    assert mean == pytest.approx(30.0) and std == 0.0 and count == 1
 
 
 def test_dwell_stats_expanding_window_consistency():
@@ -87,12 +88,13 @@ def test_dwell_stats_expanding_window_consistency():
     dwells = dwell_times(s)
     for k in range(s.n_page_views + 1):
         window = dwells[:k]
-        stats = dwell_stats_at_step(s, k)
+        mean, std, n_pages, count = _dwell_columns(s, k)
+        assert n_pages == k and count == len(window)
         if window:
-            assert stats.mean == pytest.approx(np.mean(window))
-            assert stats.std == pytest.approx(np.std(window))
+            assert mean == pytest.approx(np.mean(window))
+            assert std == pytest.approx(np.std(window))
         else:
-            assert stats == (0.0, 0.0, 0)
+            assert (mean, std) == (0.0, 0.0)
 
 
 def _journey(devices, customer="u1", purchases=(), day_starts=None):
@@ -112,16 +114,20 @@ def _journey(devices, customer="u1", purchases=(), day_starts=None):
     return Journey(customer, sessions)
 
 
+def _switch_probability(j):
+    """The journey's device switch probability after its last session."""
+    return history_snapshot(j, j.sessions[-1].end_time + 1).switch_probability
+
+
 def test_device_switches_counts_pairs():
+    # pairs (PC, PC) and (PC, Smartphone): one switch in two
     j = _journey(["PC", "PC", "Smartphone"])
-    rep = device_switches(j)
-    assert rep.pairs == [("PC", "PC"), ("PC", "Smartphone")]
-    assert rep.switch_probability == pytest.approx(0.5)
+    assert _switch_probability(j) == pytest.approx(0.5)
 
 
 def test_device_switches_single_session():
     j = _journey(["PC"])
-    assert device_switches(j).switch_probability == 0.0
+    assert _switch_probability(j) == 0.0
 
 
 def test_device_switches_matches_brute_force():
@@ -129,10 +135,10 @@ def test_device_switches_matches_brute_force():
     devices = [str(d) for d in rng.choice(["PC", "Smartphone", "Tablet"], size=50)]
     j = _journey(devices)
     expected = sum(1 for a, b in zip(devices, devices[1:]) if a != b) / 49
-    assert device_switches(j).switch_probability == pytest.approx(expected)
+    assert _switch_probability(j) == pytest.approx(expected)
     # alternating two-device journey switches every time
     j2 = _journey(["PC", "TV"] * 10)
-    assert device_switches(j2).switch_probability == 1.0
+    assert _switch_probability(j2) == 1.0
 
 
 def test_history_snapshot_counts():
