@@ -31,7 +31,6 @@ class KeyRate(NamedTuple):
 
 @dataclass
 class ConversionReport:
-    by: str  # "device" or "channel"
     rows: list
     degenerate: bool
 
@@ -63,19 +62,15 @@ def standardize_rates(rates: dict) -> dict:
     return {k: (v - mean) / std for k, v in rates.items()}
 
 
-def conversion_rates(sessions, key: str = "device") -> ConversionReport:
-    """Raw and standardized conversion rate per device or channel."""
-    if key not in ("device", "channel"):
-        raise ValueError("key must be 'device' or 'channel'")
-    order = DEVICES if key == "device" else CHANNELS
+def conversion_rates(sessions) -> ConversionReport:
+    """Raw and standardized conversion rate per device."""
     totals: dict[str, int] = {}
     purchases: dict[str, int] = {}
     for s in sessions:
-        k = getattr(s, key)
-        totals[k] = totals.get(k, 0) + 1
+        totals[s.device] = totals.get(s.device, 0) + 1
         if s.purchase:
-            purchases[k] = purchases.get(k, 0) + 1
-    keys = [k for k in order if k in totals]
+            purchases[s.device] = purchases.get(s.device, 0) + 1
+    keys = [k for k in DEVICES if k in totals]
     rates = {k: purchases.get(k, 0) / totals[k] for k in keys}
     standardized = standardize_rates(rates) if keys else {}
     degenerate = any(math.isnan(v) for v in standardized.values())
@@ -83,7 +78,7 @@ def conversion_rates(sessions, key: str = "device") -> ConversionReport:
         KeyRate(k, purchases.get(k, 0), totals[k], rates[k], standardized[k])
         for k in keys
     ]
-    return ConversionReport(by=key, rows=rows, degenerate=degenerate)
+    return ConversionReport(rows=rows, degenerate=degenerate)
 
 
 def session_length_ccdf(sessions) -> dict:
@@ -133,7 +128,7 @@ def temporal_profile(sessions, axis: str = "weekday") -> dict:
 
 
 def channel_mix(sessions) -> dict:
-    """Channel fractions per label."""
+    """Channel fractions per label; a label with no sessions is omitted."""
     counts = {True: {c: 0 for c in CHANNELS}, False: {c: 0 for c in CHANNELS}}
     for s in sessions:
         counts[s.purchase][s.channel] += 1
@@ -142,7 +137,7 @@ def channel_mix(sessions) -> dict:
         total = sum(per_channel.values())
         if total:
             fractions[label] = {c: per_channel[c] / total for c in CHANNELS}
-    return {"fractions": fractions}
+    return fractions
 
 
 def device_ownership(journeys) -> dict:

@@ -156,9 +156,7 @@ def cmd_ingest(args) -> int:
     started = time.time()
     events = list(read_events(args.input))
     kept, dropped = filter_events(events, cfg)
-    sessions = sessionize(
-        kept, min_events=cfg.min_session_events, max_events=cfg.max_session_events
-    )
+    sessions = sessionize(kept)
     anonymous, identified = split_by_identity(sessions)
     os.makedirs(args.out, exist_ok=True)
     sessions_path = os.path.join(args.out, "sessions.jsonl")
@@ -226,13 +224,13 @@ def cmd_analyze(args) -> int:
     mix = channel_mix(sessions)
     rows = []
     for label in (True, False):
-        for channel, frac in mix["fractions"].get(label, {}).items():
+        for channel, frac in mix.get(label, {}).items():
             rows.append(("purchase" if label else "non_purchase", channel, _fmt_pct(frac)))
     _write_csv(out("channels.csv"), "label,channel,percent_within_label", rows)
 
     rows = []
     if sessions:
-        conv = conversion_rates(sessions, "device")
+        conv = conversion_rates(sessions)
         for r in conv.rows:
             std = "" if math.isnan(r.standardized_rate) else f"{r.standardized_rate:.2f}"
             rows.append((r.key, r.purchase_sessions, r.total_sessions, f"{r.conversion_rate:.4f}", std))

@@ -268,7 +268,7 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
     nan = float("nan")
     for setting in cfg.settings:
         pool, folds = _folds(sessions, setting, cfg)
-        builder = StepMatrixBuilder(pool, setting, cfg.steps, cfg.min_pages)
+        builder = StepMatrixBuilder(pool, setting, cfg.steps)
         fold_cells = [
             _run_fold(sessions, full_journeys, builder, fold_ids, fold_index, cfg)[0]
             for fold_index, fold_ids in enumerate(folds)
@@ -301,7 +301,7 @@ def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
     model parameters) for one fold; used to verify leakage freedom."""
     sessions = list(sessions)
     pool, folds = _folds(sessions, setting, cfg)
-    builder = StepMatrixBuilder(pool, setting, cfg.steps, cfg.min_pages)
+    builder = StepMatrixBuilder(pool, setting, cfg.steps)
     _, artifacts = _run_fold(
         sessions, build_journeys(sessions), builder, folds[fold_index], fold_index, cfg,
         collect_artifacts=True,

@@ -199,27 +199,30 @@ class StepMatrixBuilder:
 
     Dwell statistics use the population (divide-by-n) standard deviation and
     an expanding window over the pages seen so far. The dwell of a session's
-    final action is undefined and excluded rather than imputed."""
+    final action is undefined and excluded rather than imputed. A session
+    with fewer page views than the largest step raises ShortSession: its
+    rows at that step would describe pages it does not have."""
 
-    def __init__(self, sessions, setting, steps, min_pages: int = 12):
+    def __init__(self, sessions, setting, steps):
         self.sessions = list(sessions)
         self.setting = setting
         self.steps = list(steps)
         n = len(self.sessions)
         self.labels = np.array([1 if s.purchase else 0 for s in self.sessions], dtype=np.int64)
-        # per (session, step): dwell mean, dwell std, n_pages, dwell count;
-        # and the number of page transitions the page-sequence score averages
+        # per (session, step): dwell mean, dwell std, n_pages, dwell count
         self.dyn = np.zeros((n, len(self.steps), 4))
-        self.n_scored = np.zeros((n, len(self.steps)), dtype=np.int64)
+        # per step: the number of page transitions the page-sequence score averages
+        self.n_scored = np.maximum(np.array(self.steps, dtype=np.int64) - 1, 0)
+        last = max(self.steps)
         # from/to page-type codes of the transitions the largest step scores
-        width = max(max(self.steps) - 1, 0)
+        width = max(last - 1, 0)
         self.pairs = np.zeros((2, n, width), dtype=np.int64)
         self.static = np.zeros((n, len(_static_session_block()) - 1))
         page_index = {p: i for i, p in enumerate(PAGE_TYPES)}
         for i, s in enumerate(self.sessions):
             n_pv = s.n_page_views
-            if min_pages and n_pv < min_pages:
-                raise ShortSession(f"session {s.session_id} has too few page views")
+            if n_pv < last:
+                raise ShortSession(f"session {s.session_id} has {n_pv} page views, fewer than step {last}")
             dwells = dwell_times(s)
             csum = np.concatenate([[0.0], np.cumsum(dwells)])
             csq = np.concatenate([[0.0], np.cumsum(np.square(dwells))])
@@ -227,10 +230,8 @@ class StepMatrixBuilder:
             mean = csum[m] / np.maximum(m, 1)  # 0 at m = 0
             std = np.sqrt(np.maximum(csq[m] / np.maximum(m, 1) - mean * mean, 0.0))
             self.dyn[i] = np.column_stack([mean, std, self.steps, m])
-            self.n_scored[i] = np.maximum(np.minimum(self.steps, n_pv) - 1, 0)
             seq = [page_index[p] for p in s.page_type_sequence(width + 1)]
-            t = max(len(seq) - 1, 0)
-            self.pairs[:, i, :t] = seq[:t], seq[1:]
+            self.pairs[:, i] = seq[:-1], seq[1:]
             self.static[i] = _session_columns(s)
 
     def fold(self, rows, journeys, ctx: FeatureContext) -> dict:
@@ -242,10 +243,10 @@ class StepMatrixBuilder:
         ln = ctx.page_chain_nonpurchase._log_probs
         a, b = self.pairs[0, rows], self.pairs[1, rows]
         csum = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(lp[a, b] - ln[a, b], axis=1)], axis=1)
-        t = self.n_scored[rows]
+        t = self.n_scored
         fitted = {
             "rows": rows,
-            "score": np.take_along_axis(csum, t, axis=1) / np.maximum(t, 1),  # 0 at t = 0
+            "score": csum[:, t] / np.maximum(t, 1),  # 0 at t = 0
             "conversion": np.array(
                 [device_conversion_feature(ctx, self.sessions[i].device) for i in rows]
             ).reshape(-1, 1),

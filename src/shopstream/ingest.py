@@ -23,6 +23,9 @@ ACTIONS = ("PageView", "Query", "AddToBasket", "RemoveFromBasket", "Purchase")
 PAGE_TYPES = ("home", "search", "product", "category", "basket", "checkout", "account", "other")
 
 IDLE_GAP_MS = 30 * 60 * 1000  # strict: a gap of exactly 30 minutes stays in-session
+# session-length sanity bounds, in events: shorter or longer sessions are dropped
+MIN_SESSION_EVENTS = 2
+MAX_SESSION_EVENTS = 2000
 
 N_COLUMNS = 10
 
@@ -80,18 +83,10 @@ class RawEvent:
 
 @dataclass(frozen=True)
 class BotFilterConfig:
-    """Location/device bot screen plus session-length sanity bounds."""
+    """Location/device bot screen."""
 
     allowed_countries: frozenset = frozenset({"NL", "DE", "BE", "FR", "LU"})
     allowed_devices: frozenset = frozenset(DEVICES)
-    min_session_events: int = 2
-    max_session_events: int = 2000
-
-    def __post_init__(self):
-        if self.min_session_events < 1:
-            raise ValueError("min_session_events must be >= 1")
-        if self.max_session_events <= self.min_session_events:
-            raise ValueError("max_session_events must exceed min_session_events")
 
 
 def _decode_enum(value: str, lookup: dict, what: str, line_no: int) -> str:
@@ -180,7 +175,8 @@ def filter_events(events: Iterable[RawEvent], cfg: BotFilterConfig) -> tuple[lis
     return kept, dropped
 
 
-def sessionize(events: Iterable[RawEvent], min_events: int = 2, max_events: int = 2000):
+def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
+               max_events: int = MAX_SESSION_EVENTS):
     """Group events into idle-bounded sessions.
 
     Consecutive events of one client with an inter-event gap <= IDLE_GAP_MS

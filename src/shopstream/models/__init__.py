@@ -54,38 +54,28 @@ class TrainConfig:
     n_trees: int = 200
     max_depth: int = 12
     min_samples_leaf: int = 1
-    min_samples_split: int = 2
     max_bins: int = 32
     # gbdt
     gbdt_rounds: int = 200
-    gbdt_depth: int = 3
-    gbdt_rate: float = 0.1
     # knn
     knn_k: int = 15
     # lr / svm
-    learning_rate: float = 0.5
     epochs: int = 400
-    l2: float = 1e-4
     # mlp
     hidden: int = 32
     mlp_epochs: int = 300
-    mlp_rate: float = 0.02
 
     def __post_init__(self):
-        """Counts and sizes are positive, rates are positive and l2 is not
-        negative; each error names its key."""
+        """Counts and sizes are positive; each error names its key. Rates,
+        l2, gbdt depth and the split minimum are the model classes'
+        defaults."""
         for key, low in (
             ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
-            ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1), ("gbdt_depth", 1),
-            ("min_samples_leaf", 1), ("min_samples_split", 2), ("max_bins", 2),
+            ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1),
+            ("min_samples_leaf", 1), ("max_bins", 2),
         ):
             if getattr(self, key) < low:
                 raise ValueError(f"{key}: expected >= {low}, got {getattr(self, key)!r}")
-        for key in ("gbdt_rate", "learning_rate", "mlp_rate"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key}: expected > 0, got {getattr(self, key)!r}")
-        if not self.l2 >= 0:
-            raise ValueError(f"l2: expected >= 0, got {self.l2!r}")
 
 
 def class_weights(y: np.ndarray) -> dict:
@@ -106,23 +96,23 @@ def sample_weights(y: np.ndarray) -> np.ndarray:
 
 def _build(cfg: TrainConfig):
     if cfg.kind == "lr":
-        return LogisticRegression(cfg.learning_rate, cfg.epochs, cfg.l2, cfg.seed)
+        return LogisticRegression(epochs=cfg.epochs, seed=cfg.seed)
     if cfg.kind == "svm":
-        return LinearSVM(cfg.learning_rate, cfg.epochs, cfg.l2, cfg.seed)
+        return LinearSVM(epochs=cfg.epochs, seed=cfg.seed)
     if cfg.kind == "knn":
-        return KNNClassifier(cfg.knn_k, cfg.seed)
+        return KNNClassifier(k=cfg.knn_k, seed=cfg.seed)
     if cfg.kind == "rf":
         return RandomForestClassifier(
-            cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf,
-            cfg.min_samples_split, cfg.max_bins, cfg.seed,
+            n_trees=cfg.n_trees, max_depth=cfg.max_depth,
+            min_samples_leaf=cfg.min_samples_leaf, max_bins=cfg.max_bins, seed=cfg.seed,
         )
     if cfg.kind == "gbdt":
         return GradientBoostingClassifier(
-            cfg.gbdt_rounds, cfg.gbdt_rate, cfg.gbdt_depth,
-            cfg.min_samples_leaf, cfg.max_bins, cfg.seed,
+            n_rounds=cfg.gbdt_rounds, min_samples_leaf=cfg.min_samples_leaf,
+            max_bins=cfg.max_bins, seed=cfg.seed,
         )
     if cfg.kind == "mlp":
-        return MLPClassifier(cfg.hidden, cfg.mlp_epochs, cfg.mlp_rate, cfg.seed)
+        return MLPClassifier(hidden=cfg.hidden, epochs=cfg.mlp_epochs, seed=cfg.seed)
     raise ValueError(f"unknown model kind {cfg.kind!r}")
 
 

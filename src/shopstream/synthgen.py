@@ -1,10 +1,12 @@
 """Seeded synthetic clickstream generator.
 
 Emits TSV event logs in the ingest wire format plus a truth.jsonl sidecar
-with per-session labels, and is calibrated so that configured categorical
-marginals (device mix per label, channel mix per label, anonymous share,
-multi-device ownership shares) are reproduced within sampling noise at
-corpus scale. Inter-session gaps always exceed 30 minutes and intra-session
+with per-session labels, and is calibrated so that its categorical
+marginals are reproduced within sampling noise at corpus scale: the
+configured channel mix per label and anonymous share, and the paper's device
+mix per label and multi-device ownership shares, which are fixed targets
+(PURCHASE_DEVICE_MIX, NONPURCHASE_DEVICE_MIX, MULTI_DEVICE_SHARE_*), not
+settings. Inter-session gaps always exceed 30 minutes and intra-session
 gaps never do, so sessionization recovers the generated boundaries exactly.
 
 Device assignment reconciles two targets at once: per-label device mixes and
@@ -30,6 +32,7 @@ import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
 from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, RawEvent, sessionize
+from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
 
 MS_PER_SECOND = 1000
 MS_PER_MINUTE = 60_000
@@ -85,6 +88,12 @@ PURCHASE_QUERY_RATES = {"Smartphone": 4.0, "PC": 2.0, "Tablet": 4.74, "GameConso
 NONPURCHASE_QUERY_RATES = {"Smartphone": 0.05, "PC": 0.09, "Tablet": 0.0003, "GameConsole": 0.0, "TV": 0.0}
 
 INITIAL_PAGE_DIST = {"home": 0.6, "search": 0.2, "category": 0.1, "product": 0.1}
+
+DWELL_MU = 3.0  # lognormal page dwell, seconds
+LATE_LOGIN_SHARE = 0.2  # identified sessions whose first 1-3 events are anonymous
+QUERY_VOCAB = 5000
+COUNTRY = "NL"
+WINDOW_DAYS = 28  # a customer's first session starts on one of these days
 
 
 def _page_chain(bias: dict) -> dict:
@@ -176,36 +185,23 @@ class GenConfig:
     purchase_length_mean: float = 48.14
     nonpurchase_length_mean: float = 6.16
     length_dispersion: float = 2.0
-    min_session_length: int = 2
-    max_session_length: int = 2000
-    purchase_device_mix: dict = field(default_factory=lambda: dict(PURCHASE_DEVICE_MIX))
-    nonpurchase_device_mix: dict = field(default_factory=lambda: dict(NONPURCHASE_DEVICE_MIX))
+    min_session_length: int = MIN_SESSION_EVENTS
     purchase_channel_mix: dict = field(default_factory=lambda: dict(PURCHASE_CHANNEL_MIX))
     nonpurchase_channel_mix: dict = field(default_factory=lambda: dict(NONPURCHASE_CHANNEL_MIX))
     purchase_weekdays: tuple = PURCHASE_WEEKDAYS
     nonpurchase_weekdays: tuple = NONPURCHASE_WEEKDAYS
-    purchase_hours: tuple = PURCHASE_HOURS
-    nonpurchase_hours: tuple = NONPURCHASE_HOURS
-    multi_device_share_purchasers: float = MULTI_DEVICE_SHARE_PURCHASERS
-    multi_device_share_nonpurchasers: float = MULTI_DEVICE_SHARE_NONPURCHASERS
     device_transitions: dict | None = None  # optional planted chain, overrides mixes
     purchase_query_rates: dict = field(default_factory=lambda: dict(PURCHASE_QUERY_RATES))
     nonpurchase_query_rates: dict = field(default_factory=lambda: dict(NONPURCHASE_QUERY_RATES))
     purchase_page_chain: dict = field(default_factory=lambda: {k: dict(v) for k, v in PURCHASE_PAGE_CHAIN.items()})
     nonpurchase_page_chain: dict = field(default_factory=lambda: {k: dict(v) for k, v in NONPURCHASE_PAGE_CHAIN.items()})
-    initial_page_dist: dict = field(default_factory=lambda: dict(INITIAL_PAGE_DIST))
-    purchase_dwell_mu: float = 3.0  # lognormal, seconds
-    nonpurchase_dwell_mu: float = 3.0
+    purchase_dwell_mu: float = DWELL_MU
     dwell_sigma: float = 0.9
     # per-session latent pace: one Bernoulli per session shifts its whole
     # dwell distribution, so a page or two reveals everything it carries
     dwell_pace_gap: float = 0.0
     pace_rate_purchase: float = 0.0
     pace_rate_nonpurchase: float = 0.0
-    late_login_share: float = 0.2
-    query_vocab: int = 5000
-    country: str = "NL"
-    window_days: int = 28
     # history planting: short seeded first purchase per purchaser
     history_seed_sessions: bool = False
 
@@ -222,29 +218,29 @@ class GenConfig:
                 if unknown:
                     raise InvalidConfig(name, f"unknown keys {sorted(unknown)}")
 
-        check_mix("purchase_device_mix", self.purchase_device_mix, DEVICES)
-        check_mix("nonpurchase_device_mix", self.nonpurchase_device_mix, DEVICES)
+        def check_chain(name, chain, states):
+            if not isinstance(chain, dict) or set(chain) != set(states):
+                raise InvalidConfig(name, f"expected one row for each of {list(states)}")
+            for src, row in chain.items():
+                if not isinstance(row, dict):
+                    raise InvalidConfig(f"{name}[{src}]", "expected a mapping")
+                check_mix(f"{name}[{src}]", row, states)
+
         check_mix("purchase_channel_mix", self.purchase_channel_mix, CHANNELS)
         check_mix("nonpurchase_channel_mix", self.nonpurchase_channel_mix, CHANNELS)
-        check_mix("purchase_weekdays", self.purchase_weekdays)
-        check_mix("nonpurchase_weekdays", self.nonpurchase_weekdays)
-        check_mix("purchase_hours", self.purchase_hours)
-        check_mix("nonpurchase_hours", self.nonpurchase_hours)
-        check_mix("initial_page_dist", self.initial_page_dist, PAGE_TYPES)
-        for name, chain in (
-            ("purchase_page_chain", self.purchase_page_chain),
-            ("nonpurchase_page_chain", self.nonpurchase_page_chain),
-        ):
-            for src, row in chain.items():
-                check_mix(f"{name}[{src}]", row, PAGE_TYPES)
+        for name in ("purchase_weekdays", "nonpurchase_weekdays"):
+            vec = getattr(self, name)
+            if len(vec) != 7:
+                raise InvalidConfig(name, f"expected 7 entries (Mon..Sun), got {len(vec)}")
+            check_mix(name, vec)
+        check_chain("purchase_page_chain", self.purchase_page_chain, PAGE_TYPES)
+        check_chain("nonpurchase_page_chain", self.nonpurchase_page_chain, PAGE_TYPES)
         if self.device_transitions is not None:
-            for src, row in self.device_transitions.items():
-                check_mix(f"device_transitions[{src}]", row, DEVICES)
+            check_chain("device_transitions", self.device_transitions, DEVICES)
         if self.dwell_pace_gap < 0:
             raise InvalidConfig("dwell_pace_gap", "must be >= 0")
         for name in (
-            "anonymous_share", "purchaser_share", "purchase_rate", "late_login_share",
-            "multi_device_share_purchasers", "multi_device_share_nonpurchasers",
+            "anonymous_share", "purchaser_share", "purchase_rate",
             "pace_rate_purchase", "pace_rate_nonpurchase",
         ):
             v = getattr(self, name)
@@ -256,10 +252,8 @@ class GenConfig:
         ):
             if any(v < 0 for v in rates.values()):
                 raise InvalidConfig(name, "negative rate")
-        if self.min_session_length < 2:
-            raise InvalidConfig("min_session_length", "must be >= 2 to survive the ingest length filter")
-        if self.max_session_length > 2000:
-            raise InvalidConfig("max_session_length", "must be <= 2000 (ingest length filter)")
+        if not MIN_SESSION_EVENTS <= self.min_session_length <= MAX_SESSION_EVENTS:
+            raise InvalidConfig("min_session_length", f"outside the ingest filter's [{MIN_SESSION_EVENTS}, {MAX_SESSION_EVENTS}]")
         if self.n_customers < 0:
             raise InvalidConfig("n_customers", "must be >= 0")
 
@@ -356,9 +350,7 @@ def _session_count(rng, cfg: GenConfig) -> int:
 
 def _plan_customer(idx: int, rng, cfg: GenConfig) -> _CustomerPlan:
     purchaser = rng.random() < cfg.purchaser_share
-    multi_share = (
-        cfg.multi_device_share_purchasers if purchaser else cfg.multi_device_share_nonpurchasers
-    )
+    multi_share = MULTI_DEVICE_SHARE_PURCHASERS if purchaser else MULTI_DEVICE_SHARE_NONPURCHASERS
     sticky = rng.random() >= multi_share
     n = max(_session_count(rng, cfg), 1 if sticky else 2)
 
@@ -407,12 +399,12 @@ def _roaming_session_laws(plan: _CustomerPlan, d_p: np.ndarray, d_n: np.ndarray)
     return laws
 
 
-def _solve_sticky_mixes(plans, cfg: GenConfig):
+def _solve_sticky_mixes(plans):
     """Device distributions for sticky purchasers / non-purchasers such that
-    both per-label device marginals match the configured mixes exactly in
+    both per-label device marginals match the target mixes exactly in
     expectation, absorbing the roaming redraw bias."""
-    d_p = np.array([cfg.purchase_device_mix.get(d, 0.0) for d in DEVICES])
-    d_n = np.array([cfg.nonpurchase_device_mix.get(d, 0.0) for d in DEVICES])
+    d_p = np.array([PURCHASE_DEVICE_MIX[d] for d in DEVICES])
+    d_n = np.array([NONPURCHASE_DEVICE_MIX[d] for d in DEVICES])
 
     p_tot = 0  # purchase sessions overall
     n_tot = 0
@@ -453,10 +445,10 @@ def _solve_sticky_mixes(plans, cfg: GenConfig):
     return to_dict(sigma_p), to_dict(sigma_n)
 
 
-def _start_time(rng, prev_end: int | None, weekday: int, hour: int, cfg: GenConfig) -> int:
+def _start_time(rng, prev_end: int | None, weekday: int, hour: int) -> int:
     """Earliest CET (weekday, hour) slot after the previous session plus gap."""
     if prev_end is None:
-        floor_ms = WINDOW_START_MS + int(rng.integers(cfg.window_days)) * MS_PER_DAY
+        floor_ms = WINDOW_START_MS + int(rng.integers(WINDOW_DAYS)) * MS_PER_DAY
     else:
         floor_ms = prev_end + IDLE_GAP_MS + MS_PER_MINUTE
     day_cet = (floor_ms + CET_OFFSET_MS) // MS_PER_DAY
@@ -489,7 +481,7 @@ def _session_length(rng, cfg: GenConfig, purchase: bool) -> int:
     n = cfg.length_dispersion
     p = n / (n + extra_mean)
     length = lo + int(rng.negative_binomial(n, p))
-    return min(length, cfg.max_session_length)
+    return min(length, MAX_SESSION_EVENTS)
 
 
 def _build_session_events(
@@ -519,13 +511,13 @@ def _build_session_events(
         int(i) for i in rng.choice(core, size=n_queries, replace=False)
     ) if n_queries else set()
 
-    mu = cfg.purchase_dwell_mu if purchase else cfg.nonpurchase_dwell_mu
+    mu = cfg.purchase_dwell_mu if purchase else DWELL_MU
     if cfg.dwell_pace_gap > 0:
         pace_rate = cfg.pace_rate_purchase if purchase else cfg.pace_rate_nonpurchase
         if rng.random() < pace_rate:
             mu += cfg.dwell_pace_gap
     late_from = 0
-    if customer_id is not None and length >= 2 and rng.random() < cfg.late_login_share:
+    if customer_id is not None and length >= 2 and rng.random() < LATE_LOGIN_SHARE:
         late_from = int(rng.integers(1, min(4, length)))
 
     events = []
@@ -537,8 +529,8 @@ def _build_session_events(
             events.append(RawEvent(
                 timestamp=ts, client_token=token, customer_id=cid,
                 device=device, channel=channel, action="Query", page_type="search",
-                query_text=f"q{int(rng.integers(cfg.query_vocab))}",
-                price=None, country=cfg.country,
+                query_text=f"q{int(rng.integers(QUERY_VOCAB))}",
+                price=None, country=COUNTRY,
             ))
         else:
             page = pages[page_i]
@@ -547,7 +539,7 @@ def _build_session_events(
             events.append(RawEvent(
                 timestamp=ts, client_token=token, customer_id=cid,
                 device=device, channel=channel, action="PageView", page_type=page,
-                query_text=None, price=price, country=cfg.country,
+                query_text=None, price=price, country=COUNTRY,
             ))
         ts += _dwell_ms(rng, mu, cfg.dwell_sigma)
     if purchase:
@@ -555,29 +547,29 @@ def _build_session_events(
             timestamp=ts, client_token=token,
             customer_id=customer_id if core >= late_from else None,
             device=device, channel=channel, action="AddToBasket", page_type="basket",
-            query_text=None, price=None, country=cfg.country,
+            query_text=None, price=None, country=COUNTRY,
         ))
         ts += _dwell_ms(rng, mu, cfg.dwell_sigma)
         events.append(RawEvent(
             timestamp=ts, client_token=token,
             customer_id=customer_id if core + 1 >= late_from else None,
             device=device, channel=channel, action="Purchase", page_type="checkout",
-            query_text=None, price=int(rng.integers(500, 250_000)), country=cfg.country,
+            query_text=None, price=int(rng.integers(500, 250_000)), country=COUNTRY,
         ))
     return events
 
 
 def _compile_samplers(cfg: GenConfig) -> dict:
     return {
-        "device_p": _Sampler(cfg.purchase_device_mix, DEVICES),
-        "device_n": _Sampler(cfg.nonpurchase_device_mix, DEVICES),
+        "device_p": _Sampler(PURCHASE_DEVICE_MIX, DEVICES),
+        "device_n": _Sampler(NONPURCHASE_DEVICE_MIX, DEVICES),
         "channel_p": _Sampler(cfg.purchase_channel_mix, CHANNELS),
         "channel_n": _Sampler(cfg.nonpurchase_channel_mix, CHANNELS),
         "weekday_p": _Sampler(dict(enumerate(cfg.purchase_weekdays)), range(7)),
         "weekday_n": _Sampler(dict(enumerate(cfg.nonpurchase_weekdays)), range(7)),
-        "hour_p": _Sampler(dict(enumerate(cfg.purchase_hours)), range(24)),
-        "hour_n": _Sampler(dict(enumerate(cfg.nonpurchase_hours)), range(24)),
-        "initial_page": _Sampler(cfg.initial_page_dist, PAGE_TYPES),
+        "hour_p": _Sampler(dict(enumerate(PURCHASE_HOURS)), range(24)),
+        "hour_n": _Sampler(dict(enumerate(NONPURCHASE_HOURS)), range(24)),
+        "initial_page": _Sampler(INITIAL_PAGE_DIST, PAGE_TYPES),
         "page_chain_p": {s: _Sampler(cfg.purchase_page_chain[s], PAGE_TYPES) for s in PAGE_TYPES},
         "page_chain_n": {s: _Sampler(cfg.nonpurchase_page_chain[s], PAGE_TYPES) for s in PAGE_TYPES},
         "transitions": (
@@ -598,7 +590,7 @@ def generate_events(cfg: GenConfig):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx, 0)))
         plans.append(_plan_customer(idx, rng, cfg))
 
-    sigma_p, sigma_n = _solve_sticky_mixes(plans, cfg)
+    sigma_p, sigma_n = _solve_sticky_mixes(plans)
     sticky_p = _Sampler(sigma_p, DEVICES)
     sticky_np = _Sampler(sigma_n, DEVICES)
     device_index = {d: i for i, d in enumerate(DEVICES)}
@@ -639,7 +631,7 @@ def generate_events(cfg: GenConfig):
             channel = (samplers["channel_p"] if purchase else samplers["channel_n"]).draw(rng)
             weekday = int((samplers["weekday_p"] if purchase else samplers["weekday_n"]).draw(rng))
             hour = int((samplers["hour_p"] if purchase else samplers["hour_n"]).draw(rng))
-            start_ms = _start_time(rng, prev_end, weekday, hour, cfg)
+            start_ms = _start_time(rng, prev_end, weekday, hour)
             token = f"c{plan.index}d{device_index[device]}"
             events = _build_session_events(
                 rng, cfg, samplers, purchase, device, channel, start_ms,

@@ -48,9 +48,11 @@ from shopstream.synthgen import (
     GenConfig,
     NONPURCHASE_CHANNEL_MIX,
     NONPURCHASE_DEVICE_MIX,
+    NONPURCHASE_HOURS,
     NONPURCHASE_PAGE_CHAIN,
     PURCHASE_CHANNEL_MIX,
     PURCHASE_DEVICE_MIX,
+    PURCHASE_HOURS,
     generate,
     generate_sessions,
     plant_signal,
@@ -327,8 +329,8 @@ def test_c10_generator_calibration(tmp_path):
     ok &= check("multi_non_purchasers", ownership["non_purchasers"]["multi_share"], 0.1622)
     weekday = temporal_profile(sessions, "weekday")
     hour = temporal_profile(sessions, "hour")
-    for label, wd_target, h_target in ((True, cfg.purchase_weekdays, cfg.purchase_hours),
-                                       (False, cfg.nonpurchase_weekdays, cfg.nonpurchase_hours)):
+    for label, wd_target, h_target in ((True, cfg.purchase_weekdays, PURCHASE_HOURS),
+                                       (False, cfg.nonpurchase_weekdays, NONPURCHASE_HOURS)):
         for day in range(7):
             ok &= check(f"weekday[{label}][{day}]", weekday[label][day], wd_target[day])
         for h in range(24):

@@ -62,7 +62,7 @@ def test_standardize_degenerate_is_nan():
 
 def test_conversion_rates_simple():
     sessions = [_session(purchase=(i < 3), start=i * 10**7, sid=f"p{i}") for i in range(10)]
-    report = conversion_rates(sessions, "device")
+    report = conversion_rates(sessions)
     assert report.rate("PC") == pytest.approx(0.3)
     assert report.rows[0].purchase_sessions == 3
     assert report.rows[0].total_sessions == 10
@@ -74,7 +74,7 @@ def test_conversion_rates_standardized_across_devices():
     for device, (buys, total) in {"PC": (5, 10), "Smartphone": (2, 10), "Tablet": (3, 10)}.items():
         for i in range(total):
             sessions.append(_session(device=device, purchase=(i < buys), start=len(sessions) * 10**7))
-    report = conversion_rates(sessions, "device")
+    report = conversion_rates(sessions)
     assert report.standardized("PC") == pytest.approx(1.34, abs=0.01)
     assert report.standardized("Smartphone") == pytest.approx(-1.07, abs=0.01)
     assert report.standardized("Tablet") == pytest.approx(-0.27, abs=0.01)
@@ -143,8 +143,8 @@ def test_temporal_profile_hour_histogram_matches_brute_force():
 def test_channel_mix_single_channel():
     sessions = [_session(channel="Paid", start=i * 10**7) for i in range(5)]
     mix = channel_mix(sessions)
-    assert mix["fractions"][False]["Paid"] == 1.0
-    assert mix["fractions"][False]["Direct"] == 0.0
+    assert mix[False]["Paid"] == 1.0
+    assert mix[False]["Direct"] == 0.0
 
 
 def test_channel_mix_matches_tally():
@@ -161,8 +161,8 @@ def test_channel_mix_matches_tally():
     for label in (True, False):
         total = sum(tally[label].values())
         for c in channels:
-            assert mix["fractions"][label][c] == pytest.approx(tally[label][c] / total)
-        assert sum(mix["fractions"][label].values()) == pytest.approx(1.0, abs=1e-9)
+            assert mix[label][c] == pytest.approx(tally[label][c] / total)
+        assert sum(mix[label].values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_device_ownership_single_device_users():
@@ -238,7 +238,7 @@ def test_reports_are_order_insensitive():
     ]
     shuffled = list(sessions)
     rng.shuffle(shuffled)
-    a = conversion_rates(sessions, "device")
-    b = conversion_rates(shuffled, "device")
+    a = conversion_rates(sessions)
+    b = conversion_rates(shuffled)
     assert [(r.key, r.conversion_rate) for r in a.rows] == [(r.key, r.conversion_rate) for r in b.rows]
     assert temporal_profile(sessions, "hour") == temporal_profile(shuffled, "hour")

@@ -1,10 +1,15 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
 from shopstream.cli import main
+from shopstream.evaluation import ProtocolConfig
+from shopstream.ingest import BotFilterConfig
+from shopstream.models import TrainConfig
 from shopstream.sessions import read_sessions
+from shopstream.synthgen import GenConfig
 
 
 def _sha(path):
@@ -59,6 +64,47 @@ def test_generate_invalid_mix_exit_2(tmp_path, capsys):
     assert "purchase_channel_mix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", [
+    'purchase_page_chain={"home": {"home": 1.0}}',  # a row for every page type
+    'device_transitions={"PC": {"PC": 1.0}}',  # a row for every device
+    "purchase_weekdays=[0.5, 0.5]",  # one entry per day, Mon..Sun
+    "min_session_length=3000",  # above the ingest filter's 2,000 events
+])
+def test_generate_config_shape_exit_2(tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert main(["generate", "--set", "n_customers=3", "--set", setting, "--out", str(out)]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_settable_keys():
+    """Every key that --config and --set accept, per subcommand. Adding a
+    setting means adding it here."""
+    def keys(cls, fixed=()):
+        return {f.name for f in fields(cls)} - set(fixed)
+
+    generate = keys(GenConfig)
+    assert generate == {
+        "seed", "n_customers", "anonymous_share", "purchaser_share", "purchase_rate",
+        "mean_sessions", "purchase_length_mean", "nonpurchase_length_mean",
+        "length_dispersion", "min_session_length", "purchase_channel_mix",
+        "nonpurchase_channel_mix", "purchase_weekdays", "nonpurchase_weekdays",
+        "device_transitions", "purchase_query_rates", "nonpurchase_query_rates",
+        "purchase_page_chain", "nonpurchase_page_chain", "purchase_dwell_mu",
+        "dwell_sigma", "dwell_pace_gap", "pace_rate_purchase", "pace_rate_nonpurchase",
+        "history_seed_sessions",
+    }
+    ingest = keys(BotFilterConfig)
+    assert ingest == {"allowed_countries", "allowed_devices"}
+    # the protocol sets kind and seed per cell; train is set key by key
+    evaluate = keys(ProtocolConfig, ["train"]) | keys(TrainConfig, ["kind", "seed"])
+    assert evaluate == {
+        "steps", "folds", "settings", "variants", "models", "seed",
+        "n_trees", "max_depth", "min_samples_leaf", "max_bins", "gbdt_rounds",
+        "knn_k", "epochs", "hidden", "mlp_epochs",
+    }
+    assert (len(generate), len(ingest), len(evaluate)) == (25, 2, 15)
+
+
 def test_generate_unknown_key_exit_2(tmp_path, capsys):
     assert main(["generate", "--set", "warp_speed=9", "--out", str(tmp_path / "x")]) == 2
     assert "warp_speed" in capsys.readouterr().err
@@ -102,6 +148,11 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("evaluate", "epochs=0"),
     ("evaluate", "gbdt_rate=0"),
     ("evaluate", "l2=-1"),
+    ("generate", "late_login_share=0.1"),  # fixed generator targets and constants
+    ("generate", "purchase_hours=[1]"),
+    ("ingest", "min_session_events=3"),  # the 2..2,000-event session bound is fixed
+    ("evaluate", "l2=0.01"),  # so are the models' rates, l2, gbdt depth and split minimum
+    ("evaluate", "mlp_rate=0.1"),
     ("evaluate", "buffer=3"),  # the protocol's filter, smoothing and weights are fixed
     ("evaluate", "markov_alpha=0.5"),
     ("evaluate", "class_weighting=false"),

@@ -35,9 +35,8 @@ def _session(times_s, pages=None, device="PC", channel="Direct", customer=None,
 
 
 def _encode(sessions, step, setting, variant, ctx, journeys=None):
-    """Rows of sessions at one step, as the protocol's builder encodes them
-    with no page filter."""
-    builder = StepMatrixBuilder(sessions, setting, [step], min_pages=0)
+    """Rows of sessions at one step, as the protocol's builder encodes them."""
+    builder = StepMatrixBuilder(sessions, setting, [step])
     return builder.matrix(step, variant, builder.fold(np.arange(len(sessions)), journeys or {}, ctx))[0]
 
 
@@ -137,9 +136,15 @@ def test_extract_identified_matches_recount(ctx):
 def test_extract_errors(ctx):
     s = _session([0, 10, 20])
     with pytest.raises(ShortSession):
-        StepMatrixBuilder([s], "anonymous", [1], min_pages=12)
+        StepMatrixBuilder([s], "anonymous", [4])
+    # at step 13 a 12-page-view session would get n_pages 13 from 11 dwells
+    twelve = _session(list(range(0, 120, 10)))
+    assert twelve.n_page_views == 12
+    StepMatrixBuilder([twelve], "anonymous", [12])
+    with pytest.raises(ShortSession):
+        StepMatrixBuilder([twelve], "anonymous", [0, 13])
     with pytest.raises(MissingJourney):
-        StepMatrixBuilder([s], "identified", [1], min_pages=0).fold([0], {}, ctx)
+        StepMatrixBuilder([s], "identified", [1]).fold([0], {}, ctx)
 
 
 def test_extract_reads_nothing_past_step(ctx):
@@ -195,7 +200,7 @@ def test_builder_matches_reference_all_configs():
     steps = list(range(11))
     for setting in ("anonymous", "identified"):
         subset = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
-        builder = StepMatrixBuilder(subset, setting, steps, min_pages=12)
+        builder = StepMatrixBuilder(subset, setting, steps)
         fold = builder.fold(np.arange(len(subset)), journeys, ctx)
         for variant in ("baseline", "extended"):
             for step in (0, 1, 5, 10):
@@ -218,7 +223,7 @@ def test_builder_fold_rows_match_reference_with_their_journeys():
     steps = (1, 2, 7, 12)
     for setting in ("anonymous", "identified"):
         pool = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
-        builder = StepMatrixBuilder(pool, setting, steps, min_pages=13)
+        builder = StepMatrixBuilder(pool, setting, steps)
         train_rows = [i for i, s in enumerate(pool) if s.session_id not in held]
         held_rows = [i for i, s in enumerate(pool) if s.session_id in held]
         assert train_rows != list(range(len(train_rows)))  # not a contiguous block
@@ -240,9 +245,9 @@ def test_builder_fold_rows_match_reference_with_their_journeys():
 def test_builder_errors():
     rng = np.random.default_rng(9)
     sessions = _random_corpus(rng, 4, customer_share=0.0)
-    with pytest.raises(ShortSession):
-        StepMatrixBuilder(sessions, "anonymous", (0, 5), min_pages=40)
-    builder = StepMatrixBuilder(sessions, "identified", (0, 5), min_pages=12)
+    with pytest.raises(ShortSession):  # 13 to 19 page views each
+        StepMatrixBuilder(sessions, "anonymous", (0, 20))
+    builder = StepMatrixBuilder(sessions, "identified", (0, 5))
     ctx = fit_feature_context(sessions, {})
     with pytest.raises(MissingJourney):
         builder.fold([0], {}, ctx)
@@ -252,7 +257,7 @@ def test_builder_step_monotonicity():
     rng = np.random.default_rng(5)
     sessions = _random_corpus(rng, 12, customer_share=0.0)
     ctx = fit_feature_context(sessions, {})
-    builder = StepMatrixBuilder(sessions, "anonymous", list(range(11)), min_pages=12)
+    builder = StepMatrixBuilder(sessions, "anonymous", list(range(11)))
     fold = builder.fold(np.arange(len(sessions)), {}, ctx)
     names = feature_names("anonymous", "extended")
     static_cols = [i for i, n in enumerate(names) if static_mask("anonymous", "extended")[i]]

@@ -201,6 +201,9 @@ def test_sessionize_length_filter():
     assert sessionize(events) == []  # single event below min_events=2
     many = [mk_event(i * 1000) for i in range(5)]
     assert sessionize(many, max_events=4) == []
+    longest = [mk_event(i * 1000) for i in range(2001)]
+    assert len(sessionize(longest[:2000])) == 1  # the default bounds are 2..2,000 events
+    assert sessionize(longest) == []
 
 
 def test_sessionize_unsorted_raises():
@@ -252,10 +255,3 @@ def test_split_by_identity():
     anon, ident = split_by_identity(sessions)
     assert len(anon) == 6 and len(ident) == 4
     assert split_by_identity([]) == ([], [])
-
-
-def test_bot_filter_config_validation():
-    with pytest.raises(ValueError):
-        BotFilterConfig(min_session_events=0)
-    with pytest.raises(ValueError):
-        BotFilterConfig(min_session_events=5, max_session_events=5)

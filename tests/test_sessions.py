@@ -51,8 +51,8 @@ def test_dwell_times_matches_pairwise_differences():
 
 def _dwell_columns(s, step):
     """(dwell_mean, dwell_std, n_pages, dwell_count) of s at one step, as the
-    protocol's feature builder encodes them with no page filter."""
-    builder = StepMatrixBuilder([s], "anonymous", [step], min_pages=0)
+    protocol's feature builder encodes them."""
+    builder = StepMatrixBuilder([s], "anonymous", [step])
     fold = builder.fold([0], {}, fit_feature_context([s], {}))
     row = dict(zip(feature_names("anonymous", "baseline"), builder.matrix(step, "baseline", fold)[0][0]))
     return [row[n] for n in ("dwell_mean", "dwell_std", "n_pages", "dwell_count")]

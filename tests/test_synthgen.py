@@ -11,6 +11,7 @@ from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.synthgen import (
     DEVICE_TRANSITIONS_EXAMPLE,
     GenConfig,
+    INITIAL_PAGE_DIST,
     InvalidConfig,
     NONPURCHASE_CHANNEL_MIX,
     PURCHASE_CHANNEL_MIX,
@@ -76,12 +77,12 @@ def test_plant_signal_dynamic_chains_separate():
     cfg = plant_signal(GenConfig(), "dynamic", 1.0)
     cfg.validate()
     rng = np.random.default_rng(17)
-    train_p = sample_chain_sequences(rng, cfg.purchase_page_chain, cfg.initial_page_dist, 20, 300, PAGE_TYPES)
-    train_n = sample_chain_sequences(rng, cfg.nonpurchase_page_chain, cfg.initial_page_dist, 20, 300, PAGE_TYPES)
+    train_p = sample_chain_sequences(rng, cfg.purchase_page_chain, INITIAL_PAGE_DIST, 20, 300, PAGE_TYPES)
+    train_n = sample_chain_sequences(rng, cfg.nonpurchase_page_chain, INITIAL_PAGE_DIST, 20, 300, PAGE_TYPES)
     chain_p = markov.fit(train_p, PAGE_TYPES, 1.0)
     chain_n = markov.fit(train_n, PAGE_TYPES, 1.0)
-    test_p = sample_chain_sequences(rng, cfg.purchase_page_chain, cfg.initial_page_dist, 20, 200, PAGE_TYPES)
-    test_n = sample_chain_sequences(rng, cfg.nonpurchase_page_chain, cfg.initial_page_dist, 20, 200, PAGE_TYPES)
+    test_p = sample_chain_sequences(rng, cfg.purchase_page_chain, INITIAL_PAGE_DIST, 20, 200, PAGE_TYPES)
+    test_n = sample_chain_sequences(rng, cfg.nonpurchase_page_chain, INITIAL_PAGE_DIST, 20, 200, PAGE_TYPES)
     scores = [markov.class_score(chain_p, chain_n, s) for s in test_p + test_n]
     labels = [1] * len(test_p) + [0] * len(test_n)
     order = np.argsort(scores, kind="stable")
@@ -178,7 +179,7 @@ def test_marginals_at_small_scale():
     # with signs (+, +, -)
     from shopstream.analytics import conversion_rates
 
-    report = conversion_rates(sessions, "device")
+    report = conversion_rates(sessions)
     pc, tablet, phone = (report.standardized(d) for d in ("PC", "Tablet", "Smartphone"))
     assert pc > tablet > phone
     assert pc > 0 and tablet > 0 and phone < 0
