@@ -34,12 +34,6 @@ class ConversionReport:
     rows: list
     degenerate: bool
 
-    def rate(self, key: str) -> float:
-        return next(r.conversion_rate for r in self.rows if r.key == key)
-
-    def standardized(self, key: str) -> float:
-        return next(r.standardized_rate for r in self.rows if r.key == key)
-
 
 class CCDF(NamedTuple):
     support: list  # sorted observed lengths

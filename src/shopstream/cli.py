@@ -5,8 +5,10 @@ Config files are key = value lines; values are parsed as JSON when possible
 win over the file. Every subcommand writes a run manifest and all
 randomness flows from one master seed.
 
-Exit codes: 0 success, 2 usage or config validation, 3 data error,
-4 internal error.
+Exit codes, by exception type: 0 success; 2 a bad setting (InvalidConfig,
+naming its key) or too few sessions for the protocol (TooFewSessions); 3 a
+data error (IngestError with its line number, an input that is not UTF-8,
+or an OSError such as a missing file); 4 anything else, an internal error.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .ingest import (
     DEVICES,
     BotFilterConfig,
     IngestError,
+    InvalidConfig,
     MalformedLine,
     filter_events,
     read_events,
@@ -45,7 +48,7 @@ from .ingest import (
 from .markov import transition_matrix
 from .models import TrainConfig
 from .sessions import build_journeys, read_sessions, write_sessions
-from .synthgen import GenConfig, InvalidConfig, generate
+from .synthgen import GenConfig, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -416,16 +419,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IngestError as exc:  # before ValueError: IngestError subclasses it
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InvalidConfig, TooFewSessions, ValueError) as exc:
+    except (InvalidConfig, TooFewSessions) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (IngestError, UnicodeDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

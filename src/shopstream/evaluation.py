@@ -21,8 +21,8 @@ from .features import (
     StepMatrixBuilder,
     feature_names,
     fit_feature_context,
-    static_mask,
 )
+from .ingest import InvalidConfig
 from .models import (
     MODEL_KINDS,
     SCALED_KINDS,
@@ -83,20 +83,22 @@ class ProtocolConfig:
         """Every list is non-empty, without repeats, and holds only known
         names (steps: non-negative integers); each error names its key."""
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise InvalidConfig("folds", "must be >= 2")
+        if self.seed < 0:
+            raise InvalidConfig("seed", "must be >= 0")
         for s in self.steps:
             if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 0:
-                raise ValueError(f"steps: expected non-negative integers, got {s!r}")
+                raise InvalidConfig("steps", f"expected non-negative integers, got {s!r}")
         for key, known in (("settings", SETTINGS), ("variants", VARIANTS), ("models", MODEL_KINDS)):
             for v in getattr(self, key):
                 if v not in known:
-                    raise ValueError(f"{key}: unknown entry {v!r}; expected one of {list(known)}")
+                    raise InvalidConfig(key, f"unknown entry {v!r}; expected one of {list(known)}")
         for key in ("steps", "settings", "variants", "models"):
             values = getattr(self, key)
             if not values:
-                raise ValueError(f"{key}: expected at least one entry")
+                raise InvalidConfig(key, "expected at least one entry")
             if len(set(values)) < len(values):
-                raise ValueError(f"{key}: repeated entries in {list(values)}")
+                raise InvalidConfig(key, f"repeated entries in {list(values)}")
 
 
 @dataclass
@@ -119,23 +121,6 @@ class ProtocolReport:
     rows: list
     names: dict  # (setting, variant) -> feature names
 
-    def row(self, model: str, setting: str, variant: str, step: int) -> StepReport:
-        for r in self.rows:
-            if (r.model, r.setting, r.variant, r.step) == (model, setting, variant, step):
-                return r
-        raise KeyError((model, setting, variant, step))
-
-    def static_share(self, model: str, setting: str, step: int) -> float:
-        """Summed importance of static catalog features (extended variant)."""
-        r = self.row(model, setting, "extended", step)
-        mask = static_mask(setting, "extended")
-        total = float(r.importance.sum())
-        if total <= 0:
-            return 1.0
-        # complement form: zero dynamic importance gives exactly 1.0
-        dynamic = float(r.importance[~mask].sum())
-        return 1.0 - dynamic / total
-
     def step_report_csv(self) -> str:
         lines = ["model,setting,variant,step,f1_mean,f1_std,precision,recall"]
         for r in self.rows:
@@ -154,13 +139,6 @@ class ProtocolReport:
             for name, value in zip(self.names[(r.setting, "extended")], r.importance):
                 lines.append(f"{r.model},{r.setting},{r.step},{name},{value:.6f}")
         return "\n".join(lines) + "\n"
-
-
-def static_share_curve(report: ProtocolReport, model: str, setting: str, steps=None) -> list[float]:
-    steps = steps if steps is not None else sorted(
-        {r.step for r in report.rows if r.model == model and r.setting == setting}
-    )
-    return [report.static_share(model, setting, step) for step in steps]
 
 
 @dataclass
@@ -308,22 +286,3 @@ def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
     )
     return json.dumps(artifacts, sort_keys=True, separators=(",", ":"))
 
-
-def spearman_rank_correlation(xs, ys) -> float:
-    """Spearman rho with average ranks for ties."""
-
-    def ranks(values):
-        arr = np.asarray(values, dtype=np.float64)
-        order = np.argsort(arr, kind="stable")
-        rk = np.empty(arr.size)
-        rk[order] = np.arange(1, arr.size + 1)
-        for v in np.unique(arr):
-            mask = arr == v
-            rk[mask] = rk[mask].mean()
-        return rk
-
-    rx, ry = ranks(xs), ranks(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
-    return float((rx * ry).sum() / denom) if denom > 0 else 0.0

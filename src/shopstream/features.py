@@ -97,10 +97,6 @@ def feature_names(setting: str, variant: str) -> list[str]:
     return [f.name for f in catalog(setting, variant)]
 
 
-def static_mask(setting: str, variant: str) -> np.ndarray:
-    return np.array([f.kind == "static" for f in catalog(setting, variant)])
-
-
 @dataclass
 class FeatureContext:
     """Fold-fitted statistics needed at extraction time."""

@@ -49,6 +49,14 @@ class IngestError(ValueError):
         self.line_no = line_no
 
 
+class InvalidConfig(ValueError):
+    """A setting that is unknown or out of range; names its key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+        self.key = key
+
+
 class MalformedLine(IngestError):
     pass
 
@@ -87,6 +95,11 @@ class BotFilterConfig:
 
     allowed_countries: frozenset = frozenset({"NL", "DE", "BE", "FR", "LU"})
     allowed_devices: frozenset = frozenset(DEVICES)
+
+    def __post_init__(self):
+        for d in self.allowed_devices:
+            if d not in DEVICES:
+                raise InvalidConfig("allowed_devices", f"unknown entry {d!r}; expected one of {list(DEVICES)}")
 
 
 def _decode_enum(value: str, lookup: dict, what: str, line_no: int) -> str:
@@ -229,6 +242,7 @@ def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
                     start_time=run[0].timestamp,
                     events=tuple(run),
                     purchase=any(e.action == "Purchase" for e in run),
+                    country=run[0].country,
                 )
             )
     return sessions

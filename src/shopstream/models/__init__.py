@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ingest import InvalidConfig
 from .linear import LinearSVM, LogisticRegression
 from .mlp import MLPClassifier
 from .neighbors import KNNClassifier
@@ -75,7 +76,7 @@ class TrainConfig:
             ("min_samples_leaf", 1), ("max_bins", 2),
         ):
             if getattr(self, key) < low:
-                raise ValueError(f"{key}: expected >= {low}, got {getattr(self, key)!r}")
+                raise InvalidConfig(key, f"expected >= {low}, got {getattr(self, key)!r}")
 
 
 def class_weights(y: np.ndarray) -> dict:
@@ -216,11 +217,11 @@ def importance(model, X_holdout=None, y_holdout=None, seed: int = 0) -> np.ndarr
     return permutation_importance(model, X_holdout, y_holdout, seed)
 
 
-def model_to_json(model, feature_names=None) -> str:
+def model_to_json(model) -> str:
     payload = {
         "version": ARTIFACT_VERSION,
         "kind": model.kind,
-        "feature_names": list(feature_names) if feature_names else None,
+        "feature_names": None,  # kept so that existing artifact digests hold
         "n_features_in": getattr(model, "n_features_in_", None),
         "params": model.to_dict(),
     }

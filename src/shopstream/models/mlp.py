@@ -37,20 +37,6 @@ class MLPClassifier:
         dh = dz[:, None] * w2 * (1.0 - h * h)
         return X.T @ dh, dh.sum(axis=0), h.T @ dz, dz.sum()
 
-    @staticmethod
-    def loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
-        """Weighted-mean cross-entropy and its exact gradients.
-
-        params holds w1 (d,h), b1 (h,), w2 (h,), b2 (scalar). Exposed so the
-        gradients can be verified against finite differences.
-        """
-        sw = sample_weight / sample_weight.sum()
-        h, p = MLPClassifier._forward(X, params["w1"], params["b1"], params["w2"], params["b2"])
-        eps = 1e-12
-        loss = -float(np.sum(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))))
-        gw1, gb1, gw2, gb2 = MLPClassifier._backward(X, h, sw * (p - y), params["w2"])
-        return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": float(gb2)}
-
     def fit(self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
         """Full-batch Adam on one flat parameter vector; w1, b1, w2 and b2 are
         views into it, so each weight takes the same steps it would alone.

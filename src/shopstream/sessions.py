@@ -135,7 +135,7 @@ def session_to_json(s: Session) -> str:
         "channel": s.channel,
         "start_ms": s.start_time,
         "purchase": s.purchase,
-        "country": s.country or (s.events[0].country if s.events else ""),
+        "country": s.country,
         "events": [
             [e.timestamp, e.action, e.page_type, e.query_text, e.price]
             for e in s.events

@@ -24,14 +24,16 @@ make generation order-independent and byte-reproducible.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
-from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, RawEvent, sessionize
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, RawEvent, sessionize
 from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
 
 MS_PER_SECOND = 1000
@@ -39,12 +41,6 @@ MS_PER_MINUTE = 60_000
 
 # 2019-10-01 00:00 CET
 WINDOW_START_MS = int(datetime(2019, 9, 30, 23, 0, tzinfo=timezone.utc).timestamp() * 1000)
-
-
-class InvalidConfig(ValueError):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-        self.key = key
 
 
 def _normalized(raw: dict) -> dict:
@@ -132,47 +128,6 @@ NONPURCHASE_PAGE_CHAIN = _page_chain(
     }
 )
 
-# Disjoint high-probability chains used by plant_signal("dynamic", ...)
-def _strong_chain(successors: dict) -> dict:
-    chain = {}
-    for src in PAGE_TYPES:
-        row = {p: 0.1 / (len(PAGE_TYPES) - 1) for p in PAGE_TYPES}
-        row.pop(successors[src])
-        row[successors[src]] = 0.9
-        chain[src] = row
-    return chain
-
-
-_DYNAMIC_PURCHASE_TARGET = _strong_chain(
-    {
-        "home": "search", "search": "product", "product": "basket",
-        "basket": "checkout", "checkout": "product", "category": "product",
-        "account": "home", "other": "search",
-    }
-)
-_DYNAMIC_NONPURCHASE_TARGET = _strong_chain(
-    {
-        "home": "category", "search": "home", "product": "category",
-        "basket": "home", "checkout": "home", "category": "home",
-        "account": "other", "other": "account",
-    }
-)
-
-_STATIC_PURCHASE_CHANNELS = {"Direct": 0.05, "Paid": 0.70, "Organic": 0.25, "Other": 0.0}
-_STATIC_NONPURCHASE_CHANNELS = {"Direct": 0.90, "Paid": 0.0, "Organic": 0.0, "Other": 0.10}
-_STATIC_PURCHASE_WEEKDAYS = (0.04, 0.25, 0.21, 0.30, 0.08, 0.06, 0.06)
-_STATIC_NONPURCHASE_WEEKDAYS = (0.24, 0.04, 0.22, 0.04, 0.16, 0.15, 0.15)
-
-# Example transition chain with a pronounced TV-to-PC switching pattern.
-DEVICE_TRANSITIONS_EXAMPLE = {
-    "PC": {"PC": 0.70, "Smartphone": 0.20, "Tablet": 0.08, "GameConsole": 0.01, "TV": 0.01},
-    "Smartphone": {"PC": 0.22, "Smartphone": 0.65, "Tablet": 0.10, "GameConsole": 0.02, "TV": 0.01},
-    "Tablet": {"PC": 0.25, "Smartphone": 0.15, "Tablet": 0.58, "GameConsole": 0.01, "TV": 0.01},
-    "GameConsole": {"PC": 0.30, "Smartphone": 0.32, "Tablet": 0.03, "GameConsole": 0.33, "TV": 0.02},
-    "TV": {"PC": 0.4375, "Smartphone": 0.25, "Tablet": 0.0625, "GameConsole": 0.0625, "TV": 0.1875},
-}
-
-
 @dataclass
 class GenConfig:
     seed: int = 0
@@ -206,17 +161,29 @@ class GenConfig:
     history_seed_sessions: bool = False
 
     def validate(self) -> None:
+        """Raise InvalidConfig naming the first bad key. Mixes and chain rows
+        are probabilities over known keys that sum to 1; query rates are per
+        known device; every number is finite and in its key's range."""
+        def check_numbers(name, values, low, high):
+            for v in values:
+                # a bool is not a number here, and NaN fails every comparison
+                ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
+                if not (ok and low <= v <= high and -math.inf < v < math.inf):
+                    raise InvalidConfig(name, f"expected a finite number in [{low}, {high}], got {v!r}")
+
+        def check_keys(name, mix, keys):
+            unknown = set(mix) - set(keys)
+            if unknown:
+                raise InvalidConfig(name, f"unknown keys {sorted(unknown)}")
+
         def check_mix(name, mix, keys=None):
-            total = sum(mix.values() if isinstance(mix, dict) else mix)
+            vals = list(mix.values() if isinstance(mix, dict) else mix)
+            check_numbers(name, vals, 0, 1)
+            total = sum(vals)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidConfig(name, f"probabilities sum to {total:.6f}, expected 1")
-            vals = mix.values() if isinstance(mix, dict) else mix
-            if any(v < 0 for v in vals):
-                raise InvalidConfig(name, "negative probability")
             if keys is not None and isinstance(mix, dict):
-                unknown = set(mix) - set(keys)
-                if unknown:
-                    raise InvalidConfig(name, f"unknown keys {sorted(unknown)}")
+                check_keys(name, mix, keys)
 
         def check_chain(name, chain, states):
             if not isinstance(chain, dict) or set(chain) != set(states):
@@ -237,78 +204,26 @@ class GenConfig:
         check_chain("nonpurchase_page_chain", self.nonpurchase_page_chain, PAGE_TYPES)
         if self.device_transitions is not None:
             check_chain("device_transitions", self.device_transitions, DEVICES)
-        if self.dwell_pace_gap < 0:
-            raise InvalidConfig("dwell_pace_gap", "must be >= 0")
-        for name in (
-            "anonymous_share", "purchaser_share", "purchase_rate",
-            "pace_rate_purchase", "pace_rate_nonpurchase",
+        for name in ("purchase_query_rates", "nonpurchase_query_rates"):
+            rates = getattr(self, name)
+            check_keys(name, rates, DEVICES)
+            # a session holds at most MAX_SESSION_EVENTS events, queries included
+            check_numbers(name, rates.values(), 0, MAX_SESSION_EVENTS)
+        for name, low, high in (
+            ("seed", 0, math.inf), ("n_customers", 0, math.inf),
+            ("anonymous_share", 0, 1), ("purchaser_share", 0, 1), ("purchase_rate", 0, 1),
+            ("pace_rate_purchase", 0, 1), ("pace_rate_nonpurchase", 0, 1),
+            ("mean_sessions", 0, math.inf),
+            ("purchase_length_mean", 0, MAX_SESSION_EVENTS),
+            ("nonpurchase_length_mean", 0, MAX_SESSION_EVENTS),
+            # numpy's negative binomial fails for a dispersion far below 1e-6
+            ("length_dispersion", 1e-6, math.inf),
+            ("purchase_dwell_mu", -math.inf, math.inf),
+            ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidConfig(name, f"{v} outside [0, 1]")
-        for name, rates in (
-            ("purchase_query_rates", self.purchase_query_rates),
-            ("nonpurchase_query_rates", self.nonpurchase_query_rates),
-        ):
-            if any(v < 0 for v in rates.values()):
-                raise InvalidConfig(name, "negative rate")
+            check_numbers(name, [getattr(self, name)], low, high)
         if not MIN_SESSION_EVENTS <= self.min_session_length <= MAX_SESSION_EVENTS:
             raise InvalidConfig("min_session_length", f"outside the ingest filter's [{MIN_SESSION_EVENTS}, {MAX_SESSION_EVENTS}]")
-        if self.n_customers < 0:
-            raise InvalidConfig("n_customers", "must be >= 0")
-
-
-def _lerp_dict(a: dict, b: dict, s: float) -> dict:
-    keys = list(a.keys())
-    out = {k: (1 - s) * a[k] + s * b.get(k, 0.0) for k in keys}
-    return _normalized(out)
-
-
-def _lerp_tuple(a, b, s: float) -> tuple:
-    out = [(1 - s) * x + s * y for x, y in zip(a, b)]
-    total = sum(out)
-    return tuple(v / total for v in out)
-
-
-def plant_signal(cfg: GenConfig, kind: str, strength: float) -> GenConfig:
-    """Correlate labels with static, dynamic or history structure.
-
-    Effect size is monotone in strength; strength 0 returns an equal config.
-    """
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError("strength must be in [0, 1]")
-    if strength == 0.0:
-        return replace(cfg)
-    if kind == "static":
-        return replace(
-            cfg,
-            purchase_channel_mix=_lerp_dict(cfg.purchase_channel_mix, _STATIC_PURCHASE_CHANNELS, strength),
-            nonpurchase_channel_mix=_lerp_dict(cfg.nonpurchase_channel_mix, _STATIC_NONPURCHASE_CHANNELS, strength),
-            purchase_weekdays=_lerp_tuple(cfg.purchase_weekdays, _STATIC_PURCHASE_WEEKDAYS, strength),
-            nonpurchase_weekdays=_lerp_tuple(cfg.nonpurchase_weekdays, _STATIC_NONPURCHASE_WEEKDAYS, strength),
-        )
-    if kind == "dynamic":
-        purchase_chain = {
-            src: _lerp_dict(cfg.purchase_page_chain[src], _DYNAMIC_PURCHASE_TARGET[src], strength)
-            for src in PAGE_TYPES
-        }
-        nonpurchase_chain = {
-            src: _lerp_dict(cfg.nonpurchase_page_chain[src], _DYNAMIC_NONPURCHASE_TARGET[src], strength)
-            for src in PAGE_TYPES
-        }
-        return replace(
-            cfg,
-            purchase_page_chain=purchase_chain,
-            nonpurchase_page_chain=nonpurchase_chain,
-            purchase_dwell_mu=cfg.purchase_dwell_mu + 0.8 * strength,
-        )
-    if kind == "history":
-        return replace(
-            cfg,
-            history_seed_sessions=True,
-            purchase_rate=0.4 + 0.6 * strength,
-        )
-    raise ValueError(f"unknown signal kind {kind!r}")
 
 
 class _Sampler:

@@ -1,20 +1,26 @@
-"""Shared test oracles and corpus builders.
+"""Shared test oracles, corpus builders and generator presets.
 
-Everything here is deliberately naive and independent of the library's own
+The oracles are deliberately naive and independent of the library's own
 algorithms: dict counting, explicit loops, no shared helpers, so the tests
-compare two separately derived answers.
+compare two separately derived answers. The presets (plant_signal) and
+report readers (static_share, spearman_rank_correlation) serve only the
+tests and the acceptance criteria; the pipeline never calls them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from shopstream import markov
-from shopstream.ingest import CHANNELS, DEVICES, RawEvent
+from shopstream.features import catalog
+from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent
+from shopstream.models.mlp import MLPClassifier
 from shopstream.sessions import Session
+from shopstream.synthgen import GenConfig, _normalized
 
 MS = 1000
 MINUTE = 60 * MS
@@ -67,6 +73,7 @@ def mk_session(
         start_time=events[0].timestamp,
         events=events,
         purchase=any(e.action == "Purchase" for e in events) if purchase is None else purchase,
+        country=events[0].country,
     )
 
 
@@ -276,3 +283,164 @@ def sample_chain_sequences(rng, chain_dict, initial, length, count, page_types):
             seq.append(cur)
         out.append(seq)
     return out
+
+
+# --- generator presets ---------------------------------------------------------
+
+def _strong_chain(successors: dict) -> dict:
+    """Row-stochastic page chain: 0.9 on one successor, the rest spread evenly."""
+    chain = {}
+    for src in PAGE_TYPES:
+        row = {p: 0.1 / (len(PAGE_TYPES) - 1) for p in PAGE_TYPES}
+        row.pop(successors[src])
+        row[successors[src]] = 0.9
+        chain[src] = row
+    return chain
+
+
+# disjoint high-probability chains that plant_signal("dynamic", ...) moves towards
+_DYNAMIC_PURCHASE_TARGET = _strong_chain(
+    {
+        "home": "search", "search": "product", "product": "basket",
+        "basket": "checkout", "checkout": "product", "category": "product",
+        "account": "home", "other": "search",
+    }
+)
+_DYNAMIC_NONPURCHASE_TARGET = _strong_chain(
+    {
+        "home": "category", "search": "home", "product": "category",
+        "basket": "home", "checkout": "home", "category": "home",
+        "account": "other", "other": "account",
+    }
+)
+
+_STATIC_PURCHASE_CHANNELS = {"Direct": 0.05, "Paid": 0.70, "Organic": 0.25, "Other": 0.0}
+_STATIC_NONPURCHASE_CHANNELS = {"Direct": 0.90, "Paid": 0.0, "Organic": 0.0, "Other": 0.10}
+_STATIC_PURCHASE_WEEKDAYS = (0.04, 0.25, 0.21, 0.30, 0.08, 0.06, 0.06)
+_STATIC_NONPURCHASE_WEEKDAYS = (0.24, 0.04, 0.22, 0.04, 0.16, 0.15, 0.15)
+
+# Example transition chain with a pronounced TV-to-PC switching pattern.
+DEVICE_TRANSITIONS_EXAMPLE = {
+    "PC": {"PC": 0.70, "Smartphone": 0.20, "Tablet": 0.08, "GameConsole": 0.01, "TV": 0.01},
+    "Smartphone": {"PC": 0.22, "Smartphone": 0.65, "Tablet": 0.10, "GameConsole": 0.02, "TV": 0.01},
+    "Tablet": {"PC": 0.25, "Smartphone": 0.15, "Tablet": 0.58, "GameConsole": 0.01, "TV": 0.01},
+    "GameConsole": {"PC": 0.30, "Smartphone": 0.32, "Tablet": 0.03, "GameConsole": 0.33, "TV": 0.02},
+    "TV": {"PC": 0.4375, "Smartphone": 0.25, "Tablet": 0.0625, "GameConsole": 0.0625, "TV": 0.1875},
+}
+
+
+def _lerp_dict(a: dict, b: dict, s: float) -> dict:
+    keys = list(a.keys())
+    out = {k: (1 - s) * a[k] + s * b.get(k, 0.0) for k in keys}
+    return _normalized(out)
+
+
+def _lerp_tuple(a, b, s: float) -> tuple:
+    out = [(1 - s) * x + s * y for x, y in zip(a, b)]
+    total = sum(out)
+    return tuple(v / total for v in out)
+
+
+def plant_signal(cfg: GenConfig, kind: str, strength: float) -> GenConfig:
+    """Correlate labels with static, dynamic or history structure.
+
+    Effect size is monotone in strength; strength 0 returns an equal config.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise ValueError("strength must be in [0, 1]")
+    if strength == 0.0:
+        return replace(cfg)
+    if kind == "static":
+        return replace(
+            cfg,
+            purchase_channel_mix=_lerp_dict(cfg.purchase_channel_mix, _STATIC_PURCHASE_CHANNELS, strength),
+            nonpurchase_channel_mix=_lerp_dict(cfg.nonpurchase_channel_mix, _STATIC_NONPURCHASE_CHANNELS, strength),
+            purchase_weekdays=_lerp_tuple(cfg.purchase_weekdays, _STATIC_PURCHASE_WEEKDAYS, strength),
+            nonpurchase_weekdays=_lerp_tuple(cfg.nonpurchase_weekdays, _STATIC_NONPURCHASE_WEEKDAYS, strength),
+        )
+    if kind == "dynamic":
+        purchase_chain = {
+            src: _lerp_dict(cfg.purchase_page_chain[src], _DYNAMIC_PURCHASE_TARGET[src], strength)
+            for src in PAGE_TYPES
+        }
+        nonpurchase_chain = {
+            src: _lerp_dict(cfg.nonpurchase_page_chain[src], _DYNAMIC_NONPURCHASE_TARGET[src], strength)
+            for src in PAGE_TYPES
+        }
+        return replace(
+            cfg,
+            purchase_page_chain=purchase_chain,
+            nonpurchase_page_chain=nonpurchase_chain,
+            purchase_dwell_mu=cfg.purchase_dwell_mu + 0.8 * strength,
+        )
+    if kind == "history":
+        return replace(
+            cfg,
+            history_seed_sessions=True,
+            purchase_rate=0.4 + 0.6 * strength,
+        )
+    raise ValueError(f"unknown signal kind {kind!r}")
+
+
+# --- report readers ------------------------------------------------------------
+
+def rows_by_key(report) -> dict:
+    """A ProtocolReport's rows keyed by (model, setting, variant, step)."""
+    return {(r.model, r.setting, r.variant, r.step): r for r in report.rows}
+
+
+def static_mask(setting: str, variant: str) -> np.ndarray:
+    return np.array([f.kind == "static" for f in catalog(setting, variant)])
+
+
+def static_share(report, model: str, setting: str, step: int) -> float:
+    """Summed importance of static catalog features (extended variant)."""
+    r = rows_by_key(report)[model, setting, "extended", step]
+    mask = static_mask(setting, "extended")
+    total = float(r.importance.sum())
+    if total <= 0:
+        return 1.0
+    # complement form: zero dynamic importance gives exactly 1.0
+    dynamic = float(r.importance[~mask].sum())
+    return 1.0 - dynamic / total
+
+
+def static_share_curve(report, model: str, setting: str, steps=None) -> list[float]:
+    steps = steps if steps is not None else sorted(
+        {r.step for r in report.rows if r.model == model and r.setting == setting}
+    )
+    return [static_share(report, model, setting, step) for step in steps]
+
+
+def spearman_rank_correlation(xs, ys) -> float:
+    """Spearman rho with average ranks for ties."""
+
+    def ranks(values):
+        arr = np.asarray(values, dtype=np.float64)
+        order = np.argsort(arr, kind="stable")
+        rk = np.empty(arr.size)
+        rk[order] = np.arange(1, arr.size + 1)
+        for v in np.unique(arr):
+            mask = arr == v
+            rk[mask] = rk[mask].mean()
+        return rk
+
+    rx, ry = ranks(xs), ranks(ys)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
+    return float((rx * ry).sum() / denom) if denom > 0 else 0.0
+
+
+# --- model oracles -------------------------------------------------------------
+
+def mlp_loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
+    """The MLP's weighted-mean cross-entropy and its gradients, built from
+    the model's own _forward and _backward, for checks against finite
+    differences. params holds w1 (d,h), b1 (h,), w2 (h,), b2 (scalar)."""
+    sw = sample_weight / sample_weight.sum()
+    h, p = MLPClassifier._forward(X, params["w1"], params["b1"], params["w2"], params["b2"])
+    eps = 1e-12
+    loss = -float(np.sum(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))))
+    gw1, gb1, gw2, gb2 = MLPClassifier._backward(X, h, sw * (p - y), params["w2"])
+    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": float(gb2)}

@@ -18,8 +18,13 @@ from helpers import (
     brute_force_prf,
     brute_force_sessionize,
     mk_event,
+    mlp_loss_and_grad,
+    plant_signal,
     random_event_stream,
+    rows_by_key,
     session_signatures,
+    spearman_rank_correlation,
+    static_share_curve,
 )
 from shopstream import markov
 from shopstream.analytics import device_ownership, standardize_rates, temporal_profile
@@ -30,8 +35,6 @@ from shopstream.evaluation import (
     fold_artifacts,
     kfold_split,
     run_protocol,
-    spearman_rank_correlation,
-    static_share_curve,
 )
 from shopstream.ingest import (
     DEVICES,
@@ -42,7 +45,6 @@ from shopstream.ingest import (
     split_by_identity,
 )
 from shopstream.models import TrainConfig, fit, importance, predict
-from shopstream.models.mlp import MLPClassifier
 from shopstream.sessions import build_journeys
 from shopstream.synthgen import (
     GenConfig,
@@ -55,7 +57,6 @@ from shopstream.synthgen import (
     PURCHASE_HOURS,
     generate,
     generate_sessions,
-    plant_signal,
 )
 
 ZERO_RATES = {d: 0.0 for d in DEVICES}
@@ -229,8 +230,9 @@ def test_c07_anonymous_qualitative():
     report = run_protocol(sessions, pcfg)
     elapsed = time.time() - started
 
-    base_curve = [report.row("rf", "anonymous", "baseline", s).f1_mean for s in range(11)]
-    ext_curve = [report.row("rf", "anonymous", "extended", s).f1_mean for s in range(11)]
+    rows = rows_by_key(report)
+    base_curve = [rows["rf", "anonymous", "baseline", s].f1_mean for s in range(11)]
+    ext_curve = [rows["rf", "anonymous", "extended", s].f1_mean for s in range(11)]
     gap0 = ext_curve[0] - base_curve[0]
     max_delta = max(
         abs(curve[k] - curve[k - 1])
@@ -256,8 +258,9 @@ def test_c08_identified_qualitative():
     pcfg = ProtocolConfig(steps=tuple(range(11)), folds=10, settings=("identified",),
                           models=("rf",), seed=77, train=_protocol_train())
     report = run_protocol(sessions, pcfg)
-    ext = [report.row("rf", "identified", "extended", s).f1_mean for s in range(11)]
-    base_curve = [report.row("rf", "identified", "baseline", s).f1_mean for s in range(11)]
+    rows = rows_by_key(report)
+    ext = [rows["rf", "identified", "extended", s].f1_mean for s in range(11)]
+    base_curve = [rows["rf", "identified", "baseline", s].f1_mean for s in range(11)]
     min_ext = min(ext)
     max_gap = max(abs(e - b) for e, b in zip(ext[1:], base_curve[1:]))
     ok = min_ext >= 0.90 and max_gap <= 0.03
@@ -375,7 +378,7 @@ def test_c11_model_sanity():
     Xg = rng.normal(size=(25, 4))
     yg = (rng.random(25) < 0.5).astype(np.float64)
     wg = rng.random(25) + 0.5
-    _, grads = MLPClassifier.loss_and_grad(params, Xg, yg, wg)
+    _, grads = mlp_loss_and_grad(params, Xg, yg, wg)
     eps = 1e-5
     grad_ok = True
     worst_rel = 0.0
@@ -387,8 +390,8 @@ def test_c11_model_sanity():
             dn = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
             np.atleast_1d(up[key])[idx] = arr[idx] + eps
             np.atleast_1d(dn[key])[idx] = arr[idx] - eps
-            fd = (MLPClassifier.loss_and_grad(up, Xg, yg, wg)[0]
-                  - MLPClassifier.loss_and_grad(dn, Xg, yg, wg)[0]) / (2 * eps)
+            fd = (mlp_loss_and_grad(up, Xg, yg, wg)[0]
+                  - mlp_loss_and_grad(dn, Xg, yg, wg)[0]) / (2 * eps)
             rel = abs(g_arr[idx] - fd) / max(1.0, abs(g_arr[idx]))
             worst_rel = max(worst_rel, rel)
             if rel > 1e-4:

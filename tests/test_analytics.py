@@ -63,7 +63,7 @@ def test_standardize_degenerate_is_nan():
 def test_conversion_rates_simple():
     sessions = [_session(purchase=(i < 3), start=i * 10**7, sid=f"p{i}") for i in range(10)]
     report = conversion_rates(sessions)
-    assert report.rate("PC") == pytest.approx(0.3)
+    assert {r.key: r.conversion_rate for r in report.rows}["PC"] == pytest.approx(0.3)
     assert report.rows[0].purchase_sessions == 3
     assert report.rows[0].total_sessions == 10
     assert report.degenerate  # single key
@@ -75,9 +75,10 @@ def test_conversion_rates_standardized_across_devices():
         for i in range(total):
             sessions.append(_session(device=device, purchase=(i < buys), start=len(sessions) * 10**7))
     report = conversion_rates(sessions)
-    assert report.standardized("PC") == pytest.approx(1.34, abs=0.01)
-    assert report.standardized("Smartphone") == pytest.approx(-1.07, abs=0.01)
-    assert report.standardized("Tablet") == pytest.approx(-0.27, abs=0.01)
+    standardized = {r.key: r.standardized_rate for r in report.rows}
+    assert standardized["PC"] == pytest.approx(1.34, abs=0.01)
+    assert standardized["Smartphone"] == pytest.approx(-1.07, abs=0.01)
+    assert standardized["Tablet"] == pytest.approx(-0.27, abs=0.01)
     assert not report.degenerate
 
 

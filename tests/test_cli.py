@@ -69,6 +69,16 @@ def test_generate_invalid_mix_exit_2(tmp_path, capsys):
     'device_transitions={"PC": {"PC": 1.0}}',  # a row for every device
     "purchase_weekdays=[0.5, 0.5]",  # one entry per day, Mon..Sun
     "min_session_length=3000",  # above the ingest filter's 2,000 events
+    'purchase_weekdays=["a","b","c","d","e","f","g"]',  # entries are numbers
+    'purchase_channel_mix={"Direct":"x"}',
+    'purchase_query_rates={"PC":"x"}',
+    'purchase_query_rates={"Phablet":9}',  # rates are per known device
+    "mean_sessions=-1",  # ranges
+    "purchase_length_mean=-5",
+    "length_dispersion=0",
+    "dwell_sigma=-1",
+    "purchase_dwell_mu=NaN",
+    "seed=-1",
 ])
 def test_generate_config_shape_exit_2(tmp_path, capsys, setting):
     out = tmp_path / "x"
@@ -150,6 +160,8 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("evaluate", "l2=-1"),
     ("generate", "late_login_share=0.1"),  # fixed generator targets and constants
     ("generate", "purchase_hours=[1]"),
+    ("ingest", 'allowed_devices=["Phablet"]'),  # would drop every event
+    ("evaluate", "seed=-1"),
     ("ingest", "min_session_events=3"),  # the 2..2,000-event session bound is fixed
     ("evaluate", "l2=0.01"),  # so are the models' rates, l2, gbdt depth and split minimum
     ("evaluate", "mlp_rate=0.1"),
@@ -189,6 +201,14 @@ def test_ingest_malformed_exit_3(tmp_path, capsys):
     bad.write_text("1000\tC1\tPC\n")  # wrong column count
     assert main(["ingest", str(bad), "--out", str(tmp_path / "out")]) == 3
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze"])
+def test_non_utf8_input_exit_3(tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe\n")
+    assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 3
+    assert "utf-8" in capsys.readouterr().err
 
 
 def test_ingest_missing_file_exit_3(tmp_path):
@@ -268,6 +288,17 @@ def test_evaluate_too_few_sessions_exit_2(tmp_path, sessions_file):
     ])
     # corpus has min_session_length 7: nothing passes the 12-page filter
     assert code == 2
+
+
+def test_evaluate_internal_value_error_exit_4(tmp_path, sessions_file, monkeypatch, capsys):
+    """Exit 2 is for the typed usage errors only: a ValueError from inside
+    the protocol is an internal error."""
+    def broken(sessions):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("shopstream.evaluation.build_journeys", broken)
+    assert main(["evaluate", str(sessions_file), "--out", str(tmp_path / "ev")]) == 4
+    assert "internal error: ValueError: boom" in capsys.readouterr().err
 
 
 def test_report_missing_dir_exit_3(tmp_path):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_prf, mk_event, mk_session
+from helpers import (
+    brute_force_prf,
+    mk_event,
+    mk_session,
+    plant_signal,
+    rows_by_key,
+    spearman_rank_correlation,
+    static_share,
+    static_share_curve,
+)
 from shopstream.evaluation import (
     LengthMismatch,
     ProtocolConfig,
@@ -11,8 +20,6 @@ from shopstream.evaluation import (
     fold_artifacts,
     kfold_split,
     run_protocol,
-    spearman_rank_correlation,
-    static_share_curve,
 )
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES
 from shopstream.models import TrainConfig
@@ -171,8 +178,9 @@ def test_run_protocol_learns_planted_channel_signal():
     cfg = ProtocolConfig(steps=(0,), folds=4, settings=("anonymous",), models=("rf",),
                          seed=2, train=_small_train())
     report = run_protocol(sessions, cfg)
-    extended = report.row("rf", "anonymous", "extended", 0)
-    baseline = report.row("rf", "anonymous", "baseline", 0)
+    rows = rows_by_key(report)
+    extended = rows["rf", "anonymous", "extended", 0]
+    baseline = rows["rf", "anonymous", "baseline", 0]
     assert extended.f1_mean > baseline.f1_mean + 0.1
 
 
@@ -183,7 +191,7 @@ def test_static_share_exactly_one_at_step_zero():
                          seed=3, train=_small_train())
     report = run_protocol(sessions, cfg)
     for model in ("rf", "lr"):
-        assert report.static_share(model, "anonymous", 0) == 1.0
+        assert static_share(report, model, "anonymous", 0) == 1.0
     curve = static_share_curve(report, "rf", "anonymous", steps=(0, 1))
     assert curve[0] == 1.0 and 0.0 <= curve[1] <= 1.0
 
@@ -278,7 +286,7 @@ def test_fold_artifacts_ignore_heldout_mutations():
 def test_static_share_stays_high_without_dynamic_signal():
     # control corpus: label lives in channel/weekday only, dynamics are noise
     from shopstream.ingest import DEVICES as ALL_DEVICES
-    from shopstream.synthgen import GenConfig, NONPURCHASE_PAGE_CHAIN, generate_sessions, plant_signal
+    from shopstream.synthgen import GenConfig, NONPURCHASE_PAGE_CHAIN, generate_sessions
 
     zero = {d: 0.0 for d in ALL_DEVICES}
     shared = {k: dict(v) for k, v in NONPURCHASE_PAGE_CHAIN.items()}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import DAY_MS, MS, mk_event, mk_session, reference_row
+from helpers import DAY_MS, MS, mk_event, mk_session, reference_row, static_mask
 from shopstream import markov
 from shopstream.features import (
     MissingJourney,
@@ -11,7 +11,6 @@ from shopstream.features import (
     device_conversion_feature,
     feature_names,
     fit_feature_context,
-    static_mask,
 )
 from shopstream.sessions import Journey, build_journeys, history_snapshot
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import mlp_loss_and_grad
 from shopstream.models import (
     MODEL_KINDS,
     DimensionMismatch,
@@ -194,11 +195,11 @@ def test_mlp_gradients_match_finite_differences():
         "w2": rng.normal(size=h) * 0.7,
         "b2": 0.1,
     }
-    _, grads = MLPClassifier.loss_and_grad(params, X, y, w)
+    _, grads = mlp_loss_and_grad(params, X, y, w)
     eps = 1e-5
 
     def loss_at(p):
-        return MLPClassifier.loss_and_grad(p, X, y, w)[0]
+        return mlp_loss_and_grad(p, X, y, w)[0]
 
     for key in ("w1", "b1", "w2"):
         flat = np.array(params[key], dtype=np.float64)

@@ -4,12 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from helpers import sample_chain_sequences
+from helpers import DEVICE_TRANSITIONS_EXAMPLE, plant_signal, sample_chain_sequences
 from shopstream import markov
 from shopstream.ingest import DEVICES, PAGE_TYPES, sessionize
 from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.synthgen import (
-    DEVICE_TRANSITIONS_EXAMPLE,
     GenConfig,
     INITIAL_PAGE_DIST,
     InvalidConfig,
@@ -18,7 +17,6 @@ from shopstream.synthgen import (
     generate,
     generate_events,
     generate_sessions,
-    plant_signal,
 )
 
 
@@ -180,7 +178,8 @@ def test_marginals_at_small_scale():
     from shopstream.analytics import conversion_rates
 
     report = conversion_rates(sessions)
-    pc, tablet, phone = (report.standardized(d) for d in ("PC", "Tablet", "Smartphone"))
+    standardized = {r.key: r.standardized_rate for r in report.rows}
+    pc, tablet, phone = (standardized[d] for d in ("PC", "Tablet", "Smartphone"))
     assert pc > tablet > phone
     assert pc > 0 and tablet > 0 and phone < 0
 
