@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ingest import CHANNELS, DEVICES
@@ -27,12 +26,6 @@ class KeyRate(NamedTuple):
     total_sessions: int
     conversion_rate: float
     standardized_rate: float  # NaN when degenerate
-
-
-@dataclass
-class ConversionReport:
-    rows: list
-    degenerate: bool
 
 
 class CCDF(NamedTuple):
@@ -56,8 +49,8 @@ def standardize_rates(rates: dict) -> dict:
     return {k: (v - mean) / std for k, v in rates.items()}
 
 
-def conversion_rates(sessions) -> ConversionReport:
-    """Raw and standardized conversion rate per device."""
+def conversion_rates(sessions) -> list[KeyRate]:
+    """Raw and standardized conversion rate per device, in DEVICES order."""
     totals: dict[str, int] = {}
     purchases: dict[str, int] = {}
     for s in sessions:
@@ -67,12 +60,10 @@ def conversion_rates(sessions) -> ConversionReport:
     keys = [k for k in DEVICES if k in totals]
     rates = {k: purchases.get(k, 0) / totals[k] for k in keys}
     standardized = standardize_rates(rates) if keys else {}
-    degenerate = any(math.isnan(v) for v in standardized.values())
-    rows = [
+    return [
         KeyRate(k, purchases.get(k, 0), totals[k], rates[k], standardized[k])
         for k in keys
     ]
-    return ConversionReport(rows=rows, degenerate=degenerate)
 
 
 def session_length_ccdf(sessions) -> dict:

@@ -41,6 +41,7 @@ from .ingest import (
     InvalidConfig,
     MalformedLine,
     filter_events,
+    not_utf8,
     read_events,
     sessionize,
     split_by_identity,
@@ -233,8 +234,7 @@ def cmd_analyze(args) -> int:
 
     rows = []
     if sessions:
-        conv = conversion_rates(sessions)
-        for r in conv.rows:
+        for r in conversion_rates(sessions):
             std = "" if math.isnan(r.standardized_rate) else f"{r.standardized_rate:.2f}"
             rows.append((r.key, r.purchase_sessions, r.total_sessions, f"{r.conversion_rate:.4f}", std))
     _write_csv(out("devices.csv"), "device,purchase_sessions,total_sessions,conversion_rate,standardized_rate", rows)
@@ -345,21 +345,24 @@ def cmd_report(args) -> int:
         print(f"no step_report.csv under {args.out}", file=sys.stderr)
         return EXIT_DATA
     seen = {}
-    with open(step_path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line_no, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if len(cells) != len(header):
-                raise MalformedLine(f"{len(cells)} columns, header has {len(header)}", line_no)
-            r = dict(zip(header, cells))
-            try:
-                key = (r["model"], r["setting"], r["variant"])
-                step, f1 = int(r["step"]), float(r["f1_mean"])
-            except (KeyError, ValueError) as exc:
-                raise MalformedLine(f"bad row: {type(exc).__name__}: {exc}", line_no) from None
-            pairs = seen.setdefault(key, [])
-            if not math.isnan(f1):  # a step whose every fold failed has no F1
-                pairs.append((step, f1))
+    try:
+        with open(step_path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            for line_no, line in enumerate(fh, start=2):
+                cells = line.strip().split(",")
+                if len(cells) != len(header):
+                    raise MalformedLine(f"{len(cells)} columns, header has {len(header)}", line_no)
+                r = dict(zip(header, cells))
+                try:
+                    key = (r["model"], r["setting"], r["variant"])
+                    step, f1 = int(r["step"]), float(r["f1_mean"])
+                except (KeyError, ValueError) as exc:
+                    raise MalformedLine(f"bad row: {type(exc).__name__}: {exc}", line_no) from None
+                pairs = seen.setdefault(key, [])
+                if not math.isnan(f1):  # a step whose every fold failed has no F1
+                    pairs.append((step, f1))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(step_path, exc) from None
     if not seen:
         print("empty report")
         return EXIT_OK

@@ -8,7 +8,11 @@ from types import NoneType
 from typing import NamedTuple, Optional
 
 from .analytics import MS_PER_DAY
-from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum
+from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum, not_utf8
+
+# each decoded action and page type maps to ingest's own string, so a
+# file's events share one copy of it instead of one per event
+_CANONICAL = {name: name for name in (*ACTIONS, *PAGE_TYPES)}
 
 
 @dataclass(frozen=True)
@@ -152,13 +156,15 @@ def session_from_json(line: str) -> Session:
     the events' Purchase actions raise MalformedLine, and a device, channel,
     action or page type outside ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
+    canonical = _CANONICAL.get
     country = rec.get("country", "")
     token, customer = rec["client_token"], rec["customer_id"]
     device, channel = rec["device"], rec["channel"]
-    events = tuple(
-        RawEvent(ts, token, customer, device, channel, action, page_type, query, price, country)
+    events = tuple([
+        RawEvent(ts, token, customer, device, channel, canonical(action, action),
+                 canonical(page_type, page_type), query, price, country)
         for ts, action, page_type, query, price in rec["events"]
-    )
+    ])
     if not events:
         raise MalformedLine("session has no events")
     stamps = [e.timestamp for e in events]
@@ -219,16 +225,19 @@ def write_sessions(path, sessions) -> None:
 
 
 def read_sessions(path) -> list[Session]:
-    """Parse a sessions.jsonl file; a malformed record raises MalformedLine
-    with its 1-based line number."""
+    """Parse a sessions.jsonl file; a malformed record, or a line that is
+    not UTF-8, raises MalformedLine with its 1-based line number."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(session_from_json(line))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise MalformedLine(f"bad session record: {type(exc).__name__}: {exc}",
-                                    line_no) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(session_from_json(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise MalformedLine(f"bad session record: {type(exc).__name__}: {exc}",
+                                        line_no) from None
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     return out

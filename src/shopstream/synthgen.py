@@ -23,9 +23,11 @@ make generation order-independent and byte-reproducible.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -216,8 +218,10 @@ class GenConfig:
             ("mean_sessions", 0, math.inf),
             ("purchase_length_mean", 0, MAX_SESSION_EVENTS),
             ("nonpurchase_length_mean", 0, MAX_SESSION_EVENTS),
-            # numpy's negative binomial fails for a dispersion far below 1e-6
-            ("length_dispersion", 1e-6, math.inf),
+            # numpy's negative binomial fails for a dispersion far below
+            # 1e-6; far above 1e9, n / (n + extra_mean) rounds to 1 and
+            # every session gets min_session_length events
+            ("length_dispersion", 1e-6, 1e9),
             ("purchase_dwell_mu", -math.inf, math.inf),
             ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
@@ -232,10 +236,12 @@ class _Sampler:
     def __init__(self, mix: dict, order):
         self.keys = [k for k in order if mix.get(k, 0.0) > 0.0]
         probs = np.array([mix[k] for k in self.keys])
-        self.cum = np.cumsum(probs / probs.sum())
+        # the floats np.searchsorted(side="right") would search; bisect on a
+        # list picks the same index without the per-call array overhead
+        self.cum = np.cumsum(probs / probs.sum()).tolist()
 
     def draw(self, rng) -> str:
-        return self.keys[int(np.searchsorted(self.cum, rng.random(), side="right"))]
+        return self.keys[bisect.bisect_right(self.cum, rng.random())]
 
     def draw_excluding(self, rng, excluded: str, max_tries: int = 64) -> str:
         if len(self.keys) < 2:
@@ -568,7 +574,10 @@ def generate_events(cfg: GenConfig):
                 }
             )
 
-    all_events.sort(key=lambda e: (e.timestamp, e.client_token))
+    # stable sorts by client_token, then by timestamp: the order of one sort
+    # by (timestamp, client_token), without a key tuple per event
+    all_events.sort(key=operator.itemgetter(1))
+    all_events.sort(key=operator.itemgetter(0))
     return all_events, truth
 
 

@@ -62,11 +62,11 @@ def test_standardize_degenerate_is_nan():
 
 def test_conversion_rates_simple():
     sessions = [_session(purchase=(i < 3), start=i * 10**7, sid=f"p{i}") for i in range(10)]
-    report = conversion_rates(sessions)
-    assert {r.key: r.conversion_rate for r in report.rows}["PC"] == pytest.approx(0.3)
-    assert report.rows[0].purchase_sessions == 3
-    assert report.rows[0].total_sessions == 10
-    assert report.degenerate  # single key
+    rows = conversion_rates(sessions)
+    assert {r.key: r.conversion_rate for r in rows}["PC"] == pytest.approx(0.3)
+    assert rows[0].purchase_sessions == 3
+    assert rows[0].total_sessions == 10
+    assert all(math.isnan(r.standardized_rate) for r in rows)  # single key
 
 
 def test_conversion_rates_standardized_across_devices():
@@ -74,12 +74,12 @@ def test_conversion_rates_standardized_across_devices():
     for device, (buys, total) in {"PC": (5, 10), "Smartphone": (2, 10), "Tablet": (3, 10)}.items():
         for i in range(total):
             sessions.append(_session(device=device, purchase=(i < buys), start=len(sessions) * 10**7))
-    report = conversion_rates(sessions)
-    standardized = {r.key: r.standardized_rate for r in report.rows}
+    rows = conversion_rates(sessions)
+    standardized = {r.key: r.standardized_rate for r in rows}
     assert standardized["PC"] == pytest.approx(1.34, abs=0.01)
     assert standardized["Smartphone"] == pytest.approx(-1.07, abs=0.01)
     assert standardized["Tablet"] == pytest.approx(-0.27, abs=0.01)
-    assert not report.degenerate
+    assert not any(math.isnan(r.standardized_rate) for r in rows)
 
 
 def test_ccdf_hand_example():
@@ -241,5 +241,5 @@ def test_reports_are_order_insensitive():
     rng.shuffle(shuffled)
     a = conversion_rates(sessions)
     b = conversion_rates(shuffled)
-    assert [(r.key, r.conversion_rate) for r in a.rows] == [(r.key, r.conversion_rate) for r in b.rows]
+    assert [(r.key, r.conversion_rate) for r in a] == [(r.key, r.conversion_rate) for r in b]
     assert temporal_profile(sessions, "hour") == temporal_profile(shuffled, "hour")

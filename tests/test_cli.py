@@ -76,6 +76,7 @@ def test_generate_invalid_mix_exit_2(tmp_path, capsys):
     "mean_sessions=-1",  # ranges
     "purchase_length_mean=-5",
     "length_dispersion=0",
+    "length_dispersion=1e20",  # every session would get min_session_length events
     "dwell_sigma=-1",
     "purchase_dwell_mu=NaN",
     "seed=-1",
@@ -209,6 +210,20 @@ def test_non_utf8_input_exit_3(tmp_path, capsys, command):
     bad.write_bytes(b"\xff\xfe\n")
     assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 3
     assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze", "report"])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, command):
+    bad = tmp_path / "step_report.csv"
+    # a lone CR ends a line for the text reader, so the bad byte is on line 3
+    bad.write_bytes(b"first\rsecond\r\nthird \xff\n")
+    if command == "report":
+        args = ["report", "--out", str(tmp_path)]
+    else:
+        args = [command, str(bad), "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "line 3: not utf-8" in err, err
 
 
 def test_ingest_missing_file_exit_3(tmp_path):

@@ -20,6 +20,7 @@ from shopstream.ingest import (
     BadTimestamp,
     BotFilterConfig,
     MalformedLine,
+    RawEvent,
     UnknownEnum,
     UnsortedInput,
     filter_events,
@@ -79,6 +80,62 @@ def test_parse_price_only_ascii_digits(raw):
     with pytest.raises(MalformedLine) as err:
         parse_event_line(line, 5)
     assert "bad price" in str(err.value) and err.value.line_no == 5
+
+
+@pytest.mark.parametrize("column, raw, expected", [
+    (0, " 123", 123), (0, "0123", 123), (0, "-0", 0),
+    (0, "+1", (BadTimestamp, "non-integer timestamp '+1'")),
+    (0, "-5", (BadTimestamp, "negative timestamp -5")),
+    (0, "١٢٣", (BadTimestamp, "non-integer timestamp '١٢٣'")),
+    (0, "", (BadTimestamp, "non-integer timestamp ''")),
+    (8, " 5 ", 5),
+    (8, "5_0", (MalformedLine, "bad price '5_0'")),
+])
+def test_parse_number_results_and_errors(column, raw, expected):
+    """The all-digit fast path leaves every other spelling's result or error as it was."""
+    cols = GOOD_LINE.split("\t")
+    cols[column] = raw
+    line = "\t".join(cols)
+    if isinstance(expected, int):
+        e = parse_event_line(line, 4)
+        assert (e.timestamp if column == 0 else e.price) == expected
+    else:
+        error, message = expected
+        with pytest.raises(error) as err:
+            parse_event_line(line, 4)
+        assert str(err.value) == f"line 4: {message}"
+
+
+def test_raw_event_is_an_immutable_hashable_record():
+    e = RawEvent(1, "c", None, "PC", "Direct", "PageView", "home")
+    with pytest.raises(AttributeError):
+        e.timestamp = 2
+    assert repr(e) == ("RawEvent(timestamp=1, client_token='c', customer_id=None, device='PC', "
+                       "channel='Direct', action='PageView', page_type='home', query_text=None, "
+                       "price=None, country='')")
+    assert hash(e) == hash(RawEvent(1, "c", None, "PC", "Direct", "PageView", "home"))
+    (s,) = sessionize([e, RawEvent(2, "c", None, "PC", "Direct", "Purchase", "checkout")])
+    assert hash(s) == hash(sessionize(list(s.events))[0])
+
+
+def test_read_events_share_strings(tmp_path):
+    path = tmp_path / "events.tsv"
+    path.write_text((GOOD_LINE + "\n") * 2)
+    a, b = read_events(path)
+    for field in ("client_token", "customer_id", "device", "channel", "action", "page_type", "country"):
+        assert getattr(a, field) is getattr(b, field), field
+
+
+@pytest.mark.parametrize("name", ["events.tsv", "events.tsv.gz"])
+def test_read_events_not_utf8_names_its_line(tmp_path, name):
+    # past the text reader's first chunk, so some events are parsed before it fails
+    data = ((GOOD_LINE + "\n") * 500).encode() + b"\xff\n"
+    path = tmp_path / name
+    with (gzip.open if name.endswith(".gz") else open)(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(MalformedLine) as err:
+        list(read_events(path))
+    assert err.value.line_no == 501 and "utf-8" in str(err.value)
 
 
 def test_parse_wrong_column_count():

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import MS, mk_event, mk_session, pageview_session
 from shopstream.features import StepMatrixBuilder, feature_names, fit_feature_context
+from shopstream.ingest import ACTIONS, PAGE_TYPES
 from shopstream.sessions import (
     Journey,
     build_journeys,
@@ -231,3 +232,14 @@ def test_session_json_round_trip(tmp_path):
     write_sessions(path, [s, s])
     loaded = read_sessions(path)
     assert len(loaded) == 2 and loaded[0].session_id == "sx"
+
+
+def test_read_sessions_shares_alphabet_strings(tmp_path):
+    events = [mk_event(0), mk_event(5000, action="Query", page="search", query="shoes"),
+              mk_event(9000, action="Purchase", page="checkout", price=1999)]
+    path = tmp_path / "sessions.jsonl"
+    write_sessions(path, [mk_session(events)] * 2)
+    for s in read_sessions(path):
+        for e in s.events:
+            assert e.action is ACTIONS[ACTIONS.index(e.action)]
+            assert e.page_type is PAGE_TYPES[PAGE_TYPES.index(e.page_type)]

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from shopstream.synthgen import (
     InvalidConfig,
     NONPURCHASE_CHANNEL_MIX,
     PURCHASE_CHANNEL_MIX,
+    _compile_samplers,
     generate,
     generate_events,
     generate_sessions,
@@ -22,6 +24,37 @@ from shopstream.synthgen import (
 
 def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+class _FixedRng:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_sampler_picks_searchsorted_index():
+    """_Sampler.draw bisects a list; it must pick np.searchsorted's
+    side="right" index at every boundary and on both sides of it."""
+    samplers = []
+    for entry in _compile_samplers(GenConfig()).values():
+        samplers += entry.values() if isinstance(entry, dict) else [entry] if entry else []
+    assert len(samplers) == 25
+    for sampler in samplers:
+        cum = np.asarray(sampler.cum)
+        probes = [0.0, *cum, *np.nextafter(cum, 0.0), *np.nextafter(cum, 2.0)]
+        for x in probes:
+            i = int(np.searchsorted(cum, x, side="right"))
+            assert bisect.bisect_right(sampler.cum, x) == i
+            if i < len(sampler.keys):
+                assert sampler.draw(_FixedRng(x)) == sampler.keys[i]
+
+
+def test_events_sorted_by_timestamp_then_token():
+    events, _ = generate_events(GenConfig(seed=5, n_customers=80))
+    keys = [(e.timestamp, e.client_token) for e in events]
+    assert keys == sorted(keys)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -177,8 +210,7 @@ def test_marginals_at_small_scale():
     # with signs (+, +, -)
     from shopstream.analytics import conversion_rates
 
-    report = conversion_rates(sessions)
-    standardized = {r.key: r.standardized_rate for r in report.rows}
+    standardized = {r.key: r.standardized_rate for r in conversion_rates(sessions)}
     pc, tablet, phone = (standardized[d] for d in ("PC", "Tablet", "Smartphone"))
     assert pc > tablet > phone
     assert pc > 0 and tablet > 0 and phone < 0
