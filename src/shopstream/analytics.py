@@ -159,6 +159,29 @@ def device_ownership(journeys) -> dict:
     return out
 
 
+def transition_matrix(journeys, devices) -> tuple[list, list]:
+    """Empirical device-to-device transition probabilities between sessions.
+
+    Counts consecutive session pairs whose second session is a purchase
+    session. Returns (matrix, support): matrix[i][k] is the share of the
+    pairs leaving device i that arrive at device k, NaN in a row without
+    support rather than uniform, and support[i] is the number of pairs
+    leaving device i. Each share is one correctly rounded int/int division.
+    """
+    dev_index = {d: i for i, d in enumerate(devices)}
+    n = len(devices)
+    counts = [[0] * n for _ in range(n)]
+    for j in journeys:
+        sess = j.sessions
+        for prev, nxt in zip(sess, sess[1:]):
+            if nxt.purchase:
+                counts[dev_index[prev.device]][dev_index[nxt.device]] += 1
+    support = [sum(row) for row in counts]
+    matrix = [[c / total for c in row] if total else [math.nan] * n
+              for row, total in zip(counts, support)]
+    return matrix, support
+
+
 def query_stats(sessions) -> dict:
     """Mean queries/session and distinct query texts per (device, label).
 

@@ -9,6 +9,12 @@ Exit codes, by exception type: 0 success; 2 a bad setting (InvalidConfig,
 naming its key) or too few sessions for the protocol (TooFewSessions); 3 a
 data error (IngestError with its line number, an input that is not UTF-8,
 or an OSError such as a missing file); 4 anything else, an internal error.
+
+Start-up loads only the standard library and the pure-Python ingest,
+sessions and analytics modules. generate, evaluate and report import
+synthgen, evaluation and numpy when they are dispatched, before their
+clock starts, so ingest and analyze run without numpy and elapsed_s never
+counts an import.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ import sys
 import time
 from dataclasses import MISSING, fields as dataclass_fields
 
-import numpy as np
-
 from . import __version__
 from .analytics import (
     channel_mix,
@@ -32,24 +36,22 @@ from .analytics import (
     query_stats,
     session_length_ccdf,
     temporal_profile,
+    transition_matrix,
 )
-from .evaluation import ProtocolConfig, TooFewSessions, run_protocol
 from .ingest import (
     DEVICES,
     BotFilterConfig,
     IngestError,
     InvalidConfig,
     MalformedLine,
+    TooFewSessions,
     filter_events,
     not_utf8,
     read_events,
     sessionize,
     split_by_identity,
 )
-from .markov import transition_matrix
-from .models import TrainConfig
 from .sessions import build_journeys, read_sessions, write_sessions
-from .synthgen import GenConfig, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,7 +133,25 @@ def _fmt_pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
+# The commands call generate and run_protocol through this module, so a
+# caller can wrap them here. Each imports its module on call; its command
+# has already imported it before starting its clock.
+
+def generate(cfg, out_dir) -> dict:
+    from .synthgen import generate
+
+    return generate(cfg, out_dir)
+
+
+def run_protocol(sessions, cfg):
+    from .evaluation import run_protocol
+
+    return run_protocol(sessions, cfg)
+
+
 def cmd_generate(args) -> int:
+    from .synthgen import GenConfig
+
     raw = load_config(args.config, args.set)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -251,8 +271,8 @@ def cmd_analyze(args) -> int:
     rows = []
     for i, src in enumerate(DEVICES):
         for j, dst in enumerate(DEVICES):
-            value = "" if math.isnan(matrix[i, j]) else f"{matrix[i, j]:.4f}"
-            rows.append((src, dst, value, int(support[i])))
+            value = "" if math.isnan(matrix[i][j]) else f"{matrix[i][j]:.4f}"
+            rows.append((src, dst, value, support[i]))
     _write_csv(out("transitions.csv"), "from_device,to_device,probability,support", rows)
 
     qs = query_stats(sessions)
@@ -293,10 +313,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _protocol_from_config(raw: dict) -> ProtocolConfig:
+def _protocol_from_config(raw: dict):
     """TrainConfig fields go to train, the rest to ProtocolConfig. The
     protocol sets kind and seed per cell, so neither they nor train itself
     can be set."""
+    from .evaluation import ProtocolConfig
+    from .models import TrainConfig
+
     train_keys = {f.name for f in dataclass_fields(TrainConfig)} - {"kind", "seed"}
     proto = {k: v for k, v in raw.items() if k not in train_keys}
     if "train" in proto:
@@ -340,6 +363,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import numpy as np
+
     step_path = os.path.join(args.out, "step_report.csv")
     if not os.path.exists(step_path):
         print(f"no step_report.csv under {args.out}", file=sys.stderr)

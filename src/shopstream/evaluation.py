@@ -22,7 +22,7 @@ from .features import (
     feature_names,
     fit_feature_context,
 )
-from .ingest import InvalidConfig
+from .ingest import InvalidConfig, TooFewSessions  # re-exported
 from .models import (
     MODEL_KINDS,
     SCALED_KINDS,
@@ -39,10 +39,6 @@ from .sessions import build_journeys
 
 # pages a session needs beyond the largest step to enter the protocol
 BUFFER = 2
-
-
-class TooFewSessions(ValueError):
-    pass
 
 
 def kfold_split(ids, labels, k: int, seed: int) -> list[list]:

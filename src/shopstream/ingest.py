@@ -1,6 +1,7 @@
 """Event-log ingestion: TSV parsing, bot filtering, 30-minute sessionization.
 
-The wire format is UTF-8 TSV, one event per line, columns in order:
+The wire format is UTF-8 TSV (a leading byte-order mark is dropped), one
+event per line, columns in order:
 
     timestamp_ms, client_token, customer_id, device, channel, action,
     page_type, query_text, price_cents, country
@@ -56,6 +57,11 @@ class InvalidConfig(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+
+
+class TooFewSessions(ValueError):
+    """Fewer sessions than the protocol needs; a usage error like
+    InvalidConfig, so it lives beside it."""
 
 
 class MalformedLine(IngestError):
@@ -184,13 +190,14 @@ def not_utf8(path, exc: UnicodeDecodeError, opener=open) -> MalformedLine:
 def read_events(path) -> Iterator[RawEvent]:
     """Stream RawEvents from a TSV file (gzip accepted by .gz extension).
 
-    Line 1 is skipped as a header when its first field is timestamp_ms;
-    any other line 1 is parsed as an event. A file that is not UTF-8
-    raises MalformedLine with the first undecodable line's number.
+    A UTF-8 byte-order mark is dropped. Line 1 is skipped as a header when
+    its first field is timestamp_ms; any other line 1 is parsed as an
+    event. A file that is not UTF-8 raises MalformedLine with the first
+    undecodable line's number.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(path, "rt", encoding="utf-8") as fh:
+        with opener(path, "rt", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue

@@ -8,7 +8,6 @@ transition probability positive so scores stay finite.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -93,27 +92,3 @@ def class_score(purchase_chain: MarkovChain, nonpurchase_chain: MarkovChain, seq
     if purchase_chain.alphabet != nonpurchase_chain.alphabet:
         raise AlphabetMismatch("chains must share an alphabet")
     return log_likelihood(purchase_chain, seq) - log_likelihood(nonpurchase_chain, seq)
-
-
-def transition_matrix(journeys, devices: Sequence[str]):
-    """Empirical device-to-device transition probabilities between sessions.
-
-    Counts consecutive session pairs whose second session is a purchase
-    session. Rows without support are NaN rather than
-    uniform. Returns (matrix, support) where support[i] is the number of
-    observed pairs leaving device i.
-    """
-    dev_index = {d: i for i, d in enumerate(devices)}
-    n = len(devices)
-    counts = np.zeros((n, n), dtype=np.int64)
-    for j in journeys:
-        sess = j.sessions
-        for prev, nxt in zip(sess, sess[1:]):
-            if not nxt.purchase:
-                continue
-            counts[dev_index[prev.device], dev_index[nxt.device]] += 1
-    support = counts.sum(axis=1)
-    matrix = np.full((n, n), math.nan)
-    rows = support > 0
-    matrix[rows] = counts[rows] / support[rows, None]
-    return matrix, support

@@ -130,6 +130,11 @@ def history_snapshot(j: Optional[Journey], at: int) -> HistorySummary:
 
 # --- JSON-lines interchange -------------------------------------------------
 
+# json.dumps with these arguments builds a new encoder on every call; this
+# one is built once and gives the same text
+compact_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def session_to_json(s: Session) -> str:
     rec = {
         "session_id": s.session_id,
@@ -145,7 +150,7 @@ def session_to_json(s: Session) -> str:
             for e in s.events
         ],
     }
-    return json.dumps(rec, separators=(",", ":"), sort_keys=True)
+    return compact_json(rec)
 
 
 def session_from_json(line: str) -> Session:

@@ -24,7 +24,6 @@ make generation order-independent and byte-reproducible.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import numbers
 import operator
@@ -37,6 +36,7 @@ import numpy as np
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
 from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, RawEvent, sessionize
 from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
+from .sessions import compact_json
 
 MS_PER_SECOND = 1000
 MS_PER_MINUTE = 60_000
@@ -239,6 +239,9 @@ class _Sampler:
         # the floats np.searchsorted(side="right") would search; bisect on a
         # list picks the same index without the per-call array overhead
         self.cum = np.cumsum(probs / probs.sum()).tolist()
+        # the sum may round below 1.0; a draw at or above it would index
+        # past keys, and every draw below it keeps its index
+        self.cum[-1] = 1.0
 
     def draw(self, rng) -> str:
         return self.keys[bisect.bisect_right(self.cum, rng.random())]
@@ -610,7 +613,7 @@ def generate(cfg: GenConfig, out_dir) -> dict:
             fh.write("\n")
     with open(truth_path, "w", encoding="utf-8") as fh:
         for rec in truth:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            fh.write(compact_json(rec))
             fh.write("\n")
     return {
         "events_path": events_path,

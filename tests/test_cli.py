@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import shopstream
 from shopstream.cli import main
 from shopstream.evaluation import ProtocolConfig
 from shopstream.ingest import BotFilterConfig
@@ -450,3 +455,44 @@ def test_report_best_step_skips_failed_steps(tmp_path, capsys):
     assert "0.3750" in printed  # mean over the finite steps only
     assert "0.5000 @ step 2" in printed
     assert "nan" not in printed
+
+
+NUMPY_BACKED = ("numpy", "shopstream.synthgen", "shopstream.evaluation", "shopstream.features",
+                "shopstream.markov", "shopstream.models")
+# the names a caller may wrap on shopstream.cli; the commands call through them
+CLI_CALL_SITES = (
+    "generate", "read_events", "filter_events", "sessionize", "write_sessions", "read_sessions",
+    "build_journeys", "transition_matrix", "run_protocol", "session_length_ccdf",
+    "temporal_profile", "channel_mix", "conversion_rates", "device_ownership", "query_stats",
+    "cmd_generate", "cmd_ingest", "cmd_analyze", "cmd_evaluate", "cmd_report",
+)
+IMPORT_PROBE = """
+import json, sys
+from shopstream import cli
+backed, names, runs = json.loads(sys.argv[1])
+loaded = {"import": [m for m in backed if m in sys.modules]}
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+    loaded[argv[0]] = [m for m in backed if m in sys.modules]
+missing = [n for n in names if not callable(getattr(cli, n, None))]
+print(json.dumps({"loaded": loaded, "missing": missing}))
+"""
+
+
+def test_ingest_and_analyze_never_load_numpy(tmp_path):
+    """The CLI starts on the standard library and the pure-Python modules;
+    ingest and analyze run without numpy or the model stack."""
+    rows = [(0, "PC", "PageView", "home"), (1000, "PC", "PageView", "search"),
+            (10**8, "Smartphone", "PageView", "product"), (10**8 + 1000, "Smartphone", "Purchase", "checkout")]
+    (tmp_path / "events.tsv").write_text("".join(
+        f"{ts}\tC1\tu1\t{device}\tDirect\t{action}\t{page}\t\t\tNL\n" for ts, device, action, page in rows))
+    runs = [["ingest", str(tmp_path / "events.tsv"), "--out", str(tmp_path / "ingest")],
+            ["analyze", str(tmp_path / "ingest" / "sessions.jsonl"), "--out", str(tmp_path / "analytics")]]
+    src = str(Path(shopstream.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps([NUMPY_BACKED, CLI_CALL_SITES, runs])],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"loaded": {"import": [], "ingest": [], "analyze": []}, "missing": []}
+    transitions = (tmp_path / "analytics" / "transitions.csv").read_text().splitlines()
+    assert "PC,Smartphone,1.0000,1" in transitions

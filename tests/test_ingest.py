@@ -1,3 +1,4 @@
+import codecs
 import gzip
 
 import numpy as np
@@ -31,6 +32,12 @@ from shopstream.ingest import (
 )
 
 GOOD_LINE = "1570000000000\tC1\tu42\tPC\tDirect\tPageView\thome\t\t\tNL"
+HEADER = "timestamp_ms\tclient_token\tcustomer_id\tdevice\tchannel\taction\tpage_type\tquery_text\tprice_cents\tcountry\n"
+
+
+def _write(path, data: bytes):
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "wb") as fh:
+        fh.write(data)
 
 
 def test_parse_full_line():
@@ -136,6 +143,20 @@ def test_read_events_not_utf8_names_its_line(tmp_path, name):
     with pytest.raises(MalformedLine) as err:
         list(read_events(path))
     assert err.value.line_no == 501 and "utf-8" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["events.tsv", "events.tsv.gz"])
+def test_read_events_drops_a_byte_order_mark(tmp_path, name):
+    """After a UTF-8 BOM, a header line 1 is skipped and any other line 1 is
+    an event; the BOM moves no line number."""
+    path = tmp_path / name
+    for body, n_events in ((HEADER + GOOD_LINE + "\n", 1), ((GOOD_LINE + "\n") * 2, 2)):
+        _write(path, codecs.BOM_UTF8 + body.encode())
+        assert list(read_events(path)) == [parse_event_line(GOOD_LINE)] * n_events
+    _write(path, codecs.BOM_UTF8 + ((GOOD_LINE + "\n") * 500).encode() + b"\xff\n")
+    with pytest.raises(MalformedLine) as err:
+        list(read_events(path))
+    assert err.value.line_no == 501
 
 
 def test_parse_wrong_column_count():

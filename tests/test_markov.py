@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_chain_probs, mk_session, mk_event
+from helpers import brute_force_chain_probs
 from shopstream import markov
 from shopstream.markov import (
     AlphabetMismatch,
@@ -12,9 +12,7 @@ from shopstream.markov import (
     class_score,
     fit,
     log_likelihood,
-    transition_matrix,
 )
-from shopstream.sessions import Journey
 
 
 def test_fit_hand_counts():
@@ -127,58 +125,6 @@ def test_class_score_separates_distinct_dynamics():
         if class_score(purchase, nonpurchase, seq) > 0:
             positive += 1
     assert positive >= 950
-
-
-def _mini_journey(customer, devices, purchase_mask):
-    sessions = []
-    for i, (dev, buy) in enumerate(zip(devices, purchase_mask)):
-        start = i * 10**8
-        events = [
-            mk_event(start, token=customer, customer=customer, device=dev),
-            mk_event(start + 1000, token=customer, customer=customer, device=dev,
-                     action="Purchase" if buy else "PageView",
-                     page="checkout" if buy else "home"),
-        ]
-        sessions.append(mk_session(events, session_id=f"{customer}:{i}", customer=customer))
-    return Journey(customer, sessions)
-
-
-def test_transition_matrix_degenerate_support():
-    journeys = [
-        _mini_journey("u1", ["TV", "PC"], [False, True]),
-        _mini_journey("u2", ["TV", "PC"], [False, True]),
-    ]
-    matrix, support = transition_matrix(journeys, ["PC", "Smartphone", "Tablet", "GameConsole", "TV"])
-    tv, pc = 4, 0
-    assert matrix[tv, pc] == 1.0
-    assert support[tv] == 2
-    # rows without support are undefined, not uniform
-    assert np.isnan(matrix[1]).all()
-
-
-def test_transition_matrix_matches_brute_force():
-    rng = np.random.default_rng(31)
-    devices = ["PC", "Smartphone", "Tablet"]
-    journeys = []
-    for c in range(40):
-        n = int(rng.integers(2, 8))
-        devs = [devices[int(i)] for i in rng.integers(0, 3, size=n)]
-        buys = [bool(rng.random() < 0.4) for _ in range(n)]
-        journeys.append(_mini_journey(f"u{c}", devs, buys))
-    matrix, support = transition_matrix(journeys, devices)
-    counts = {(a, b): 0 for a in devices for b in devices}
-    for j in journeys:
-        for prev, nxt in zip(j.sessions, j.sessions[1:]):
-            if nxt.purchase:
-                counts[(prev.device, nxt.device)] += 1
-    for i, a in enumerate(devices):
-        row_total = sum(counts[(a, b)] for b in devices)
-        assert support[i] == row_total
-        for k, b in enumerate(devices):
-            if row_total:
-                assert matrix[i, k] == pytest.approx(counts[(a, b)] / row_total)
-            else:
-                assert math.isnan(matrix[i, k])
 
 
 def test_alpha_must_be_positive():

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import DEVICE_TRANSITIONS_EXAMPLE, plant_signal, sample_chain_sequences
 from shopstream import markov
+from shopstream.analytics import transition_matrix
 from shopstream.ingest import DEVICES, PAGE_TYPES, sessionize
 from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.synthgen import (
@@ -15,6 +16,7 @@ from shopstream.synthgen import (
     InvalidConfig,
     NONPURCHASE_CHANNEL_MIX,
     PURCHASE_CHANNEL_MIX,
+    _Sampler,
     _compile_samplers,
     generate,
     generate_events,
@@ -34,14 +36,18 @@ class _FixedRng:
         return self.value
 
 
-def test_sampler_picks_searchsorted_index():
-    """_Sampler.draw bisects a list; it must pick np.searchsorted's
-    side="right" index at every boundary and on both sides of it."""
+def _default_samplers():
     samplers = []
     for entry in _compile_samplers(GenConfig()).values():
         samplers += entry.values() if isinstance(entry, dict) else [entry] if entry else []
     assert len(samplers) == 25
-    for sampler in samplers:
+    return samplers
+
+
+def test_sampler_picks_searchsorted_index():
+    """_Sampler.draw bisects a list; it must pick np.searchsorted's
+    side="right" index at every boundary and on both sides of it."""
+    for sampler in _default_samplers():
         cum = np.asarray(sampler.cum)
         probes = [0.0, *cum, *np.nextafter(cum, 0.0), *np.nextafter(cum, 2.0)]
         for x in probes:
@@ -49,6 +55,23 @@ def test_sampler_picks_searchsorted_index():
             assert bisect.bisect_right(sampler.cum, x) == i
             if i < len(sampler.keys):
                 assert sampler.draw(_FixedRng(x)) == sampler.keys[i]
+
+
+def test_sampler_top_draw_picks_last_key():
+    """The largest double below 1.0 draws the last key. Some default
+    page-chain rows sum to less than 1.0 in floating point; pinning their
+    last bound to 1.0 moves no other bound."""
+    for sampler in _default_samplers():
+        assert sampler.draw(_FixedRng(1 - 2**-53)) == sampler.keys[-1]
+    cfg = GenConfig()
+    rounded_low = 0
+    for row in (*cfg.purchase_page_chain.values(), *cfg.nonpurchase_page_chain.values()):
+        probs = np.array([row[k] for k in PAGE_TYPES if row.get(k, 0.0) > 0.0])
+        unpinned = np.cumsum(probs / probs.sum())
+        cum = _Sampler(row, PAGE_TYPES).cum
+        assert cum == [*unpinned[:-1].tolist(), 1.0]
+        rounded_low += unpinned[-1] < 1.0
+    assert rounded_low > 0
 
 
 def test_events_sorted_by_timestamp_then_token():
@@ -259,10 +282,10 @@ def test_transitions_planting_matches_configured_rate():
                     device_transitions={k: dict(v) for k, v in DEVICE_TRANSITIONS_EXAMPLE.items()})
     sessions, _ = generate_sessions(cfg)
     journeys = build_journeys(sessions)
-    matrix, support = markov.transition_matrix(journeys.values(), DEVICES)
+    matrix, support = transition_matrix(journeys.values(), DEVICES)
     tv, pc = DEVICES.index("TV"), DEVICES.index("PC")
-    assert support.sum() >= 50_000
-    assert matrix[tv, pc] == pytest.approx(0.4375, abs=0.02)
+    assert sum(support) >= 50_000
+    assert matrix[tv][pc] == pytest.approx(0.4375, abs=0.02)
 
 
 def test_truth_sidecar_fields(tmp_path):
