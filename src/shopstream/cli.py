@@ -72,10 +72,16 @@ def _parse_pair(item: str, message: str) -> tuple:
 
 
 def load_config(path: str | None, overrides) -> dict:
+    """Settings from a `key = value` file (UTF-8, a leading byte-order mark
+    dropped), then --set overrides. A file that is not UTF-8 raises
+    MalformedLine with its first undecodable line's number."""
     lines = []
     if path:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path, exc) from None
     cfg = dict(
         _parse_pair(line, "expected key = value")
         for line in map(str.strip, lines) if line and not line.startswith("#")

@@ -26,15 +26,15 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-import operator
 import os
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
-from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, RawEvent, sessionize
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, parse_event_line, sessionize
 from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
 from .sessions import compact_json
 
@@ -408,11 +408,93 @@ def _session_length(rng, cfg: GenConfig, purchase: bool) -> int:
     return min(length, MAX_SESSION_EVENTS)
 
 
+# event kinds: one PageView code per page type, then the three other actions
+_PAGE_CODE = {page: code for code, page in enumerate(PAGE_TYPES)}
+_QUERY, _BASKET, _PURCHASE = range(len(PAGE_TYPES), len(PAGE_TYPES) + 3)
+# each kind's TSV columns from action to country, split where its value goes
+_KIND_TEXT = (
+    *((f"PageView\t{page}\t\t", f"\t{COUNTRY}\n") for page in PAGE_TYPES),
+    ("Query\tsearch\tq", f"\t\t{COUNTRY}\n"),
+    ("AddToBasket\tbasket\t\t", f"\t{COUNTRY}\n"),
+    ("Purchase\tcheckout\t\t", f"\t{COUNTRY}\n"),
+)
+_WRITE_CHUNK = 4096  # events formatted per batch
+
+
+def _column(col: array) -> np.ndarray:
+    return np.frombuffer(col, np.int64 if col.typecode == "q" else np.uint8)
+
+
+class _EventLog:
+    """Generated events as columns, in generation order, with their file
+    order: by timestamp, then client token, then generation order.
+
+    An event is 26 bytes here (timestamp, session index, kind code, value
+    and whether it carries the session's customer id); a value is a query
+    number or a price in cents, -1 for none. The session table holds
+    (token, customer_id, device, channel). Iterating yields RawEvents in
+    file order, parsed from lines(), the one formatter of events.tsv.
+    """
+
+    def __init__(self):
+        self.ts = array("q")
+        self.session = array("q")
+        self.kind = array("B")
+        self.value = array("q")
+        self.identified = array("B")
+        self.sessions = []
+        self.order = None  # set by sort()
+
+    def add_session(self, token: str, customer_id: str | None, device: str, channel: str) -> int:
+        self.sessions.append((token, customer_id, device, channel))
+        return len(self.sessions) - 1
+
+    def append(self, ts: int, session: int, kind: int, value: int, identified: bool) -> None:
+        self.ts.append(ts)
+        self.session.append(session)
+        self.kind.append(kind)
+        self.value.append(value)
+        self.identified.append(identified)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __iter__(self):
+        return map(parse_event_line, self.lines())
+
+    def sort(self) -> None:
+        """Set the file order with one stable sort; token ranks give string
+        order ("c10d0" < "c2d0")."""
+        tokens = [token for token, *_ in self.sessions]
+        rank = {token: r for r, token in enumerate(sorted(set(tokens)))}
+        session_rank = np.array([rank[token] for token in tokens], np.int64)
+        self.order = np.lexsort((session_rank[_column(self.session)], _column(self.ts)))
+
+    def lines(self):
+        """Each event's TSV line, newline included, in file order."""
+        heads = []  # per session: anonymous head, then identified head
+        for token, customer_id, device, channel in self.sessions:
+            anonymous = f"{token}\t\t{device}\t{channel}\t"
+            heads += (anonymous, f"{token}\t{customer_id}\t{device}\t{channel}\t" if customer_id else anonymous)
+        ts, session, kind, value, identified = map(
+            _column, (self.ts, self.session, self.kind, self.value, self.identified)
+        )
+        for start in range(0, len(self.order), _WRITE_CHUNK):
+            idx = self.order[start:start + _WRITE_CHUNK]
+            for t, h, k, v in zip(
+                ts[idx].tolist(), (2 * session[idx] + identified[idx]).tolist(),
+                kind[idx].tolist(), value[idx].tolist(),
+            ):
+                pre, post = _KIND_TEXT[k]
+                yield f"{t}\t{heads[h]}{pre}{'' if v < 0 else v}{post}"
+
+
 def _build_session_events(
-    rng, cfg: GenConfig, samplers,
-    purchase: bool, device: str, channel: str, start_ms: int, is_seed: bool,
-    token: str, customer_id: str | None,
+    rng, cfg: GenConfig, samplers, log: _EventLog, session: int,
+    purchase: bool, device: str, start_ms: int, is_seed: bool, identified: bool,
 ):
+    """Append one session's events to log; returns the first and last
+    event's timestamps and the event count."""
     if is_seed:
         length = int(rng.integers(4, 9))
     else:
@@ -441,46 +523,28 @@ def _build_session_events(
         if rng.random() < pace_rate:
             mu += cfg.dwell_pace_gap
     late_from = 0
-    if customer_id is not None and length >= 2 and rng.random() < LATE_LOGIN_SHARE:
+    if identified and length >= 2 and rng.random() < LATE_LOGIN_SHARE:
         late_from = int(rng.integers(1, min(4, length)))
 
-    events = []
+    append = log.append
     ts = start_ms
     page_i = 0
     for slot in range(core):
-        cid = customer_id if slot >= late_from else None
         if slot in query_slots:
-            events.append(RawEvent(
-                timestamp=ts, client_token=token, customer_id=cid,
-                device=device, channel=channel, action="Query", page_type="search",
-                query_text=f"q{int(rng.integers(QUERY_VOCAB))}",
-                price=None, country=COUNTRY,
-            ))
+            append(ts, session, _QUERY, int(rng.integers(QUERY_VOCAB)), identified and slot >= late_from)
         else:
             page = pages[page_i]
             page_i += 1
-            price = int(rng.integers(500, 250_000)) if page == "product" else None
-            events.append(RawEvent(
-                timestamp=ts, client_token=token, customer_id=cid,
-                device=device, channel=channel, action="PageView", page_type=page,
-                query_text=None, price=price, country=COUNTRY,
-            ))
+            price = int(rng.integers(500, 250_000)) if page == "product" else -1
+            append(ts, session, _PAGE_CODE[page], price, identified and slot >= late_from)
+        last = ts
         ts += _dwell_ms(rng, mu, cfg.dwell_sigma)
     if purchase:
-        events.append(RawEvent(
-            timestamp=ts, client_token=token,
-            customer_id=customer_id if core >= late_from else None,
-            device=device, channel=channel, action="AddToBasket", page_type="basket",
-            query_text=None, price=None, country=COUNTRY,
-        ))
+        append(ts, session, _BASKET, -1, identified and core >= late_from)
         ts += _dwell_ms(rng, mu, cfg.dwell_sigma)
-        events.append(RawEvent(
-            timestamp=ts, client_token=token,
-            customer_id=customer_id if core + 1 >= late_from else None,
-            device=device, channel=channel, action="Purchase", page_type="checkout",
-            query_text=None, price=int(rng.integers(500, 250_000)), country=COUNTRY,
-        ))
-    return events
+        append(ts, session, _PURCHASE, int(rng.integers(500, 250_000)), identified and core + 1 >= late_from)
+        last = ts
+    return start_ms, last, core + reserved
 
 
 def _compile_samplers(cfg: GenConfig) -> dict:
@@ -505,7 +569,8 @@ def _compile_samplers(cfg: GenConfig) -> dict:
 
 
 def generate_events(cfg: GenConfig):
-    """All events (globally time-sorted) plus the per-session truth sidecar."""
+    """All events as an _EventLog (iterates globally time-sorted RawEvents)
+    plus the per-session truth sidecar."""
     cfg.validate()
     samplers = _compile_samplers(cfg)
 
@@ -519,7 +584,7 @@ def generate_events(cfg: GenConfig):
     sticky_np = _Sampler(sigma_n, DEVICES)
     device_index = {d: i for i, d in enumerate(DEVICES)}
 
-    all_events = []
+    log = _EventLog()
     truth = []
     for plan in plans:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(plan.index, 1)))
@@ -557,12 +622,10 @@ def generate_events(cfg: GenConfig):
             hour = int((samplers["hour_p"] if purchase else samplers["hour_n"]).draw(rng))
             start_ms = _start_time(rng, prev_end, weekday, hour)
             token = f"c{plan.index}d{device_index[device]}"
-            events = _build_session_events(
-                rng, cfg, samplers, purchase, device, channel, start_ms,
-                is_seed, token, None if anonymous else customer_id,
+            session = log.add_session(token, None if anonymous else customer_id, device, channel)
+            first_ms, prev_end, n_events = _build_session_events(
+                rng, cfg, samplers, log, session, purchase, device, start_ms, is_seed, not anonymous,
             )
-            prev_end = events[-1].timestamp
-            all_events.extend(events)
             truth.append(
                 {
                     "client_token": token,
@@ -570,47 +633,25 @@ def generate_events(cfg: GenConfig):
                     "device": device,
                     "channel": channel,
                     "purchase": purchase,
-                    "start_ms": events[0].timestamp,
-                    "end_ms": events[-1].timestamp,
-                    "n_events": len(events),
+                    "start_ms": first_ms,
+                    "end_ms": prev_end,
+                    "n_events": n_events,
                     "seed_session": is_seed,
                 }
             )
 
-    # stable sorts by client_token, then by timestamp: the order of one sort
-    # by (timestamp, client_token), without a key tuple per event
-    all_events.sort(key=operator.itemgetter(1))
-    all_events.sort(key=operator.itemgetter(0))
-    return all_events, truth
-
-
-def event_to_tsv(e: RawEvent) -> str:
-    return "\t".join(
-        (
-            str(e.timestamp),
-            e.client_token,
-            e.customer_id or "",
-            e.device,
-            e.channel,
-            e.action,
-            e.page_type,
-            e.query_text or "",
-            "" if e.price is None else str(e.price),
-            e.country,
-        )
-    )
+    log.sort()
+    return log, truth
 
 
 def generate(cfg: GenConfig, out_dir) -> dict:
     """Write events.tsv + truth.jsonl; byte-identical for identical (cfg, seed)."""
-    events, truth = generate_events(cfg)
+    log, truth = generate_events(cfg)
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.tsv")
     truth_path = os.path.join(out_dir, "truth.jsonl")
     with open(events_path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(event_to_tsv(e))
-            fh.write("\n")
+        fh.writelines(log.lines())
     with open(truth_path, "w", encoding="utf-8") as fh:
         for rec in truth:
             fh.write(compact_json(rec))
@@ -618,7 +659,7 @@ def generate(cfg: GenConfig, out_dir) -> dict:
     return {
         "events_path": events_path,
         "truth_path": truth_path,
-        "n_events": len(events),
+        "n_events": len(log),
         "n_sessions": len(truth),
     }
 

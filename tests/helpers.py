@@ -55,6 +55,24 @@ def mk_event(
     )
 
 
+def event_to_tsv(e: RawEvent) -> str:
+    """One event's TSV line, without its newline, field by field."""
+    return "\t".join(
+        (
+            str(e.timestamp),
+            e.client_token,
+            e.customer_id or "",
+            e.device,
+            e.channel,
+            e.action,
+            e.page_type,
+            e.query_text or "",
+            "" if e.price is None else str(e.price),
+            e.country,
+        )
+    )
+
+
 def mk_session(
     events,
     session_id="s0",

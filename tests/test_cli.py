@@ -231,6 +231,25 @@ def test_non_utf8_input_names_its_line(tmp_path, capsys, command):
     assert "line 3: not utf-8" in err, err
 
 
+def test_config_byte_order_mark_is_dropped(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_bytes("\ufeffn_customers = 20\n".encode("utf-8"))
+    out = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"n_customers": 20, "seed": 3}
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest", "evaluate"])
+def test_non_utf8_config_names_its_line(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes("seed = 3\n# caf\u00e9\n".encode("latin-1"))
+    inputs = [] if command == "generate" else [str(tmp_path / "missing")]
+    assert main([command, *inputs, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "line 2: not utf-8" in err, err
+
+
 def test_ingest_missing_file_exit_3(tmp_path):
     assert main(["ingest", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out")]) == 3
 

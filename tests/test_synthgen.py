@@ -1,14 +1,15 @@
 import bisect
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import DEVICE_TRANSITIONS_EXAMPLE, plant_signal, sample_chain_sequences
+from helpers import DEVICE_TRANSITIONS_EXAMPLE, event_to_tsv, plant_signal, sample_chain_sequences
 from shopstream import markov
 from shopstream.analytics import transition_matrix
-from shopstream.ingest import DEVICES, PAGE_TYPES, sessionize
+from shopstream.ingest import DEVICES, PAGE_TYPES, parse_event_line, sessionize
 from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.synthgen import (
     GenConfig,
@@ -16,6 +17,7 @@ from shopstream.synthgen import (
     InvalidConfig,
     NONPURCHASE_CHANNEL_MIX,
     PURCHASE_CHANNEL_MIX,
+    _EventLog,
     _Sampler,
     _compile_samplers,
     generate,
@@ -78,6 +80,45 @@ def test_events_sorted_by_timestamp_then_token():
     events, _ = generate_events(GenConfig(seed=5, n_customers=80))
     keys = [(e.timestamp, e.client_token) for e in events]
     assert keys == sorted(keys)
+
+
+def test_event_log_order_is_timestamp_then_token_string():
+    """One stable lexsort on (timestamp, token rank) is the order of a sort
+    by (timestamp, token): ranks follow string order, so "c10d0" comes
+    before "c2d0", and ties on both keep generation order."""
+    log = _EventLog()
+    tokens = ["c2d0", "c10d0", "c2d1", "c10d0"]
+    sessions = [log.add_session(t, None, "PC", "Direct") for t in tokens]
+    events = [(500, 0), (500, 1), (500, 2), (100, 2), (500, 3), (100, 0), (300, 1), (100, 1), (300, 3)]
+    for ts, s in events:
+        log.append(ts, sessions[s], 0, -1, False)
+    log.sort()
+    want = sorted(range(len(events)), key=lambda i: (events[i][0], tokens[events[i][1]]))
+    assert log.order.tolist() == want
+    assert [(e.timestamp, e.client_token) for e in log] == [
+        (events[i][0], tokens[events[i][1]]) for i in want
+    ]
+
+
+def test_events_tsv_lines_match_field_by_field_oracle(tmp_path):
+    res = generate(GenConfig(seed=3, n_customers=60), tmp_path)
+    with open(res["events_path"], encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) == res["n_events"] > 0
+    for line in lines:
+        assert event_to_tsv(parse_event_line(line)) + "\n" == line
+
+
+def test_generate_peak_memory_per_event(tmp_path):
+    """Events are held as columns until the sorted write, not as one tuple
+    per event: the traced peak stays well under a RawEvent's cost."""
+    tracemalloc.start()
+    try:
+        res = generate(GenConfig(n_customers=300, seed=7), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / res["n_events"] < 200
 
 
 def test_determinism_byte_identical(tmp_path):
