@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .ingest import CHANNELS, DEVICES
@@ -159,6 +161,11 @@ def device_ownership(journeys) -> dict:
     return out
 
 
+def pair_counts(sequences) -> Counter:
+    """How often each adjacent (a, b) pair occurs across all sequences."""
+    return Counter(chain.from_iterable(zip(seq, seq[1:]) for seq in sequences))
+
+
 def transition_matrix(journeys, devices) -> tuple[list, list]:
     """Empirical device-to-device transition probabilities between sessions.
 
@@ -171,11 +178,10 @@ def transition_matrix(journeys, devices) -> tuple[list, list]:
     dev_index = {d: i for i, d in enumerate(devices)}
     n = len(devices)
     counts = [[0] * n for _ in range(n)]
-    for j in journeys:
-        sess = j.sessions
-        for prev, nxt in zip(sess, sess[1:]):
-            if nxt.purchase:
-                counts[dev_index[prev.device]][dev_index[nxt.device]] += 1
+    pairs = pair_counts([(s.device, s.purchase) for s in j.sessions] for j in journeys)
+    for ((prev, _), (nxt, purchase)), c in pairs.items():
+        if purchase:
+            counts[dev_index[prev]][dev_index[nxt]] += c
     support = [sum(row) for row in counts]
     matrix = [[c / total for c in row] if total else [math.nan] * n
               for row, total in zip(counts, support)]

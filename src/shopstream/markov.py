@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .analytics import pair_counts
+
 
 class UnknownSymbol(KeyError):
     pass
@@ -65,10 +67,9 @@ def fit(sequences, alphabet: Sequence[str], alpha: float = 1.0) -> MarkovChain:
     """
     chain = MarkovChain(alphabet, alpha=alpha)
     counts = np.zeros((len(chain.alphabet),) * 2, dtype=np.int64)
-    for seq in sequences:
-        idx = chain._encode(seq)
-        for a, b in zip(idx, idx[1:]):
-            counts[a, b] += 1
+    pairs = pair_counts(chain._encode(seq) for seq in sequences)
+    if pairs:
+        counts[tuple(zip(*pairs))] = list(pairs.values())
     return MarkovChain(chain.alphabet, counts, alpha)
 
 

@@ -164,35 +164,49 @@ def f1_score(y_true, y_pred) -> tuple[float, float, float]:
     return _f1_from_counts(tp, fp, fn)
 
 
+def _predict_shuffled(model, X: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """predict_proba of X with column j replaced by columns[j, s], for every
+    feature j and shuffle s: one call per feature on its (N_SHUFFLES, n, d)
+    stack. Every model takes leading batch axes and scores each slice
+    bit-equal to a 2-D call. A model may define its own predict_shuffled."""
+    stack = np.repeat(X[None], columns.shape[1], axis=0)
+    out = np.empty(columns.shape)
+    for j in range(columns.shape[0]):
+        stack[:, :, j] = columns[j]
+        out[j] = predict_proba(model, stack)
+        stack[:, :, j] = X[:, j]
+    return out
+
+
 def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
     """Mean F1 drop per shuffled feature, clipped at 0 and normalized.
 
-    Each feature's N_SHUFFLES shuffled copies of X are scored by one
-    predict_proba call on their (N_SHUFFLES, n, d) stack; every model takes
-    leading batch axes and scores each slice bit-equal to a 2-D call.
     Permutations are drawn feature by feature, shuffle by shuffle, and the
-    drops are summed in that order.
+    drops are summed in that order. The shuffled copies of X are scored by
+    the model's predict_shuffled, or by one predict_proba call per feature.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    base = f1_score(y, predict(model, X))[2]
+    proba = predict_proba(model, X)
+    base = f1_score(y, (proba >= 0.5).astype(np.int64))[2]
     rng = np.random.default_rng(seed)
     n, d = X.shape
-    pos, neg = y == 1, y == 0
-    stack = np.repeat(X[None], N_SHUFFLES, axis=0)
-    drops = np.zeros(d)
+    columns = np.empty((d, N_SHUFFLES, n))
     for j in range(d):
         for s in range(N_SHUFFLES):
-            stack[s, :, j] = X[rng.permutation(n), j]
-        hit = predict(model, stack) == 1
-        tp = np.count_nonzero(hit & pos, axis=1).tolist()
-        fp = np.count_nonzero(hit & neg, axis=1).tolist()
-        fn = np.count_nonzero(~hit & pos, axis=1).tolist()
+            columns[j, s] = X[rng.permutation(n), j]
+    own = getattr(model, "predict_shuffled", None)
+    hit = (own(X, proba, columns) if own else _predict_shuffled(model, X, columns)) >= 0.5
+    pos, neg = y == 1, y == 0
+    tp = np.count_nonzero(hit & pos, axis=2).tolist()
+    fp = np.count_nonzero(hit & neg, axis=2).tolist()
+    fn = np.count_nonzero(~hit & pos, axis=2).tolist()
+    drops = np.zeros(d)
+    for j in range(d):
         acc = 0.0
         for s in range(N_SHUFFLES):
-            acc += base - _f1_from_counts(tp[s], fp[s], fn[s])[2]
+            acc += base - _f1_from_counts(tp[j][s], fp[j][s], fn[j][s])[2]
         drops[j] = acc / N_SHUFFLES
-        stack[:, :, j] = X[:, j]
     drops = np.clip(drops, 0.0, None)
     total = drops.sum()
     return drops / total if total > 0 else drops

@@ -14,6 +14,11 @@ DISTANCE_BUDGET = 4_000_000
 # shuffles at 1,200 training and 130 held-out rows took 35k faults per
 # permutation_importance call and 1.3x the time of one product per shuffle.
 STACK_BUDGET = 16_384
+# float64 distances of moved rows buffered between _nearest calls in
+# predict_shuffled (128 KiB). With the distance block and _nearest's own
+# index and mask temporaries, its peak stays below that of ranking every row
+# of one (780 x 87) block.
+MOVED_BUDGET = 16_384
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -93,6 +98,74 @@ class KNNClassifier:
                 p = (wv * yv).sum(axis=1) / wv.sum(axis=1)
                 out[g : g + group, start : start + chunk] = p.reshape(q.shape[:2])
         return out.reshape(X.shape[:-1])
+
+    def predict_shuffled(self, X: np.ndarray, proba: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """P(y=1) of every copy of X whose column j holds columns[j, s]
+        instead: out[j, s] is bit for bit predict_proba of that copy, given
+        proba = predict_proba(X).
+
+        Each copy goes through predict_proba's row chunks, so every GEMM
+        keeps its shape and a row its distances; one matmul covers as many
+        copies as fit in STACK_BUDGET, into a reused buffer. Only rows whose
+        value moved are ranked: their distance rows are buffered, across
+        shuffles and features, up to MOVED_BUDGET entries, and one _nearest
+        call ranks each buffer. _nearest and the votes are row-local, and the
+        other rows keep proba.
+        """
+        n_train = self.X_.shape[0]
+        k = min(self.k, n_train)
+        train_sq = np.einsum("ij,ij->i", self.X_, self.X_)
+        train_t = self.X_.T
+        n_feat, n_copies, n = columns.shape
+        out = np.empty(columns.shape)
+        out[...] = proba
+        moved = columns != X.T[:, None, :]
+        chunk = max(1, DISTANCE_BUDGET // n_train)
+        block = min(chunk, n)
+        group = min(n_copies, max(1, STACK_BUDGET // (block * n_train)))
+        stack = np.empty((n_copies, block, X.shape[1]))
+        dist = np.empty(group * block * n_train)
+        cap = max(1, MOVED_BUDGET // n_train)
+        buf = np.empty((cap, n_train))
+        at = np.empty(cap, dtype=np.intp)  # flat index into out of each buffered row
+        filled = 0
+
+        def flush():
+            nn = _nearest(buf[:filled], k)
+            wv = self.vote_weight_[nn]
+            yv = self.y_[nn]
+            out.flat[at[:filled]] = (wv * yv).sum(axis=1) / wv.sum(axis=1)
+
+        for j in range(n_feat):
+            for start in range(0, n, chunk):
+                rows = min(chunk, n - start)
+                q = stack[:, :rows]
+                q[:] = X[start : start + rows]
+                q[:, :, j] = columns[j, :, start : start + rows]
+                for g in range(0, n_copies, group):
+                    q_g = q[g : g + group]
+                    sel = np.flatnonzero(moved[j, g : g + group, start : start + rows])
+                    if sel.size == 0:
+                        continue
+                    d2 = dist[: q_g.shape[0] * rows * n_train].reshape(q_g.shape[0], rows, n_train)
+                    np.matmul(q_g, train_t, out=d2)
+                    d2 *= -2.0
+                    d2 += train_sq
+                    d2 = d2.reshape(-1, n_train)
+                    copy, row = np.divmod(sel, rows)
+                    flat = (j * n_copies + g + copy) * n + start + row
+                    while sel.size:
+                        take = min(sel.size, cap - filled)
+                        np.take(d2, sel[:take], axis=0, out=buf[filled : filled + take], mode="clip")
+                        at[filled : filled + take] = flat[:take]
+                        filled += take
+                        sel, flat = sel[take:], flat[take:]
+                        if filled == cap:
+                            flush()
+                            filled = 0
+        if filled:
+            flush()
+        return out
 
     def to_dict(self) -> dict:
         return {

@@ -1,15 +1,17 @@
 """Decision-tree ensembles: random forest and gradient-boosted trees.
 
-Trees are grown level-wise on quantile-binned features. Per level, one
-bincount over (node, feature, bin) keys gives every splittable node's
-histograms for all the features it may split on (one more bincount each for
-the weighted response and, with min_samples_leaf > 1, the row counts), and
-one argmax over the feature-major gains picks every node's split. Each bin
-adds its rows in row order, so sums, and therefore trees, are bit-for-bit
-those of one bincount per feature; histogram subtraction (sibling = parent -
-child) is left out because it would change low-order bits. Binning is exact
-whenever a column has at most max_bins distinct values (one-hots, small
-integer counts), and quantile thresholds otherwise.
+Trees are grown level-wise on quantile-binned features, a group of trees at
+a time: a random forest grows up to HIST_BUDGET's worth of trees together,
+gradient boosting one per round. Per level, one bincount over (tree, node,
+feature, bin) keys gives every splittable node's histograms for all the
+features it may split on (one more bincount each for the weighted response
+and, with min_samples_leaf > 1, the row counts), and one argmax over the
+feature-major gains picks every node's split. Each bin adds its rows in row
+order, so sums, and therefore trees, are bit-for-bit those of one bincount
+per feature of one tree; histogram subtraction (sibling = parent - child) is
+left out because it would change low-order bits. Binning is exact whenever
+a column has at most max_bins distinct values (one-hots, small integer
+counts), and quantile thresholds otherwise.
 
 Split tie-breaking is deterministic: at equal gain the lowest feature index
 wins, then the lowest threshold.
@@ -20,6 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .linear import _sigmoid
+
+# float64 entries of one level histogram of a group of rf trees grown
+# together (8 MiB), if each splits as many nodes as it can. A default fit
+# (200 trees, 781 rows, 4 of 23 features) groups 21 trees: 2.1-3.0x faster
+# than one tree at a time, at a 7 MB traced peak against 1.8 MB; groups of
+# 16 to 64 trees ran about as fast, and one of all 200 slower, at 54 MB.
+HIST_BUDGET = 1 << 20
 
 
 def _bin_thresholds(col: np.ndarray, max_bins: int) -> np.ndarray:
@@ -50,6 +59,8 @@ class _BinnedDesign:
             if thr.size:
                 self.thr_table[j, : thr.size] = thr
                 self.codes[:, j] = np.searchsorted(thr, X[:, j], side="left")
+        # feature * bins + code: each row's key part per (feature, bin)
+        self.feature_keys = self.codes + np.arange(f) * self.bins
 
 
 class _Tree:
@@ -91,9 +102,9 @@ class _Tree:
         }
 
 
-def _grow_tree(
+def _grow_trees(
     design: _BinnedDesign,
-    rows: np.ndarray,
+    rows: list | None,
     response: np.ndarray,
     weights: np.ndarray,
     *,
@@ -101,32 +112,47 @@ def _grow_tree(
     max_depth: int,
     min_samples_split: int,
     min_samples_leaf: int,
-    feature_rng=None,
+    rngs: list | None = None,
     max_features: int = 0,
-) -> tuple[_Tree, np.ndarray]:
-    """Grow one tree level-wise; returns the tree and each row's leaf id.
+) -> tuple[list[_Tree], np.ndarray]:
+    """Grow a group of trees level-wise, together; returns the trees and
+    each training row's node id (the tree's own id in a group of one).
 
-    criterion "gini" treats response as 0/1 labels and stores the weighted
-    positive fraction in leaves; "mse" fits weighted means of the response.
-    Gains are weighted impurity decreases, accumulated per feature as the
-    importance vector.
+    rows[t] holds tree t's training rows in ascending order (None: one tree
+    on every row); weights holds their weights, tree after tree. criterion
+    "gini" treats response as 0/1 labels and stores the weighted positive
+    fraction in leaves; "mse" fits weighted means of the response. Gains are
+    weighted impurity decreases, accumulated per feature in node order as
+    each tree's importance vector. With rngs, rngs[t] draws tree t's keys
+    for max_features of its features per node, one block per level at which
+    it still has nodes; without, every node may split on every feature.
 
-    Each level's nodes are numbered consecutively after the previous level's,
-    so the active nodes are the id range [lo, hi) and a row whose node id is
-    below lo sits in a finished leaf.
+    Each level's nodes, tree after tree, are numbered consecutively after
+    the previous level's, so the active nodes are the id range [lo, hi) and
+    a row whose node id is below lo sits in a finished leaf. Rows are laid
+    out tree after tree, so each (node, feature, bin) key of a level's
+    bincount adds its tree's rows in row order, as the tree grown alone
+    would. A tree's own ids are its nodes' ranks in that numbering.
     """
-    codes = design.codes[rows]  # subset-relative copy; all row indices below are local
+    if rows is None:
+        n_trees = 1
+        codes, feature_keys, r, w = design.codes, design.feature_keys, response, weights
+        node_of_row = np.zeros(codes.shape[0], dtype=np.int64)
+    else:
+        n_trees = len(rows)
+        all_rows = np.concatenate(rows)  # row positions below index all_rows
+        codes, r, w = design.codes[all_rows], response[all_rows], weights
+        feature_keys = None if rngs else design.feature_keys[all_rows]
+        node_of_row = np.repeat(np.arange(n_trees), [t.size for t in rows])
     bins = design.bins
     n_feat = design.n_features
     max_thr = bins - 1
     thr_ok = np.arange(max_thr) < design.n_thr[:, None]  # (n_feat, max_thr)
-    r = response[rows]
-    w = weights[rows]
 
-    levels = []  # per level: (feature, threshold, left, right, value) arrays
-    importance = np.zeros(n_feat)
-    node_of_row = np.zeros(rows.size, dtype=np.int64)
-    lo, hi = 0, 1
+    levels = []  # per level: (tree, feature, threshold, left, right, value) arrays
+    importance = np.zeros((n_trees, n_feat))
+    tree_of_node = np.arange(n_trees)
+    lo, hi = 0, n_trees
 
     for depth in range(max_depth + 1):
         n_active = hi - lo
@@ -144,7 +170,7 @@ def _grow_tree(
         value = swr / sw  # positive fraction (gini) or weighted mean (mse)
         if depth == max_depth or max_thr == 0:  # leaves only
             leaf = np.full(n_active, -1, dtype=np.int64)
-            levels.append((leaf, np.zeros(n_active), leaf, leaf, value))
+            levels.append((tree_of_node, leaf, np.zeros(n_active), leaf, leaf, value))
             break
 
         # splittable check: enough rows and impure
@@ -156,8 +182,7 @@ def _grow_tree(
         splittable = (cnt >= min_samples_split) & impure
 
         # Only splittable nodes get histograms: one per (node, allowed
-        # feature, bin), all from one bincount. Rows enter each bin in row
-        # order, as a per-feature bincount would add them.
+        # feature, bin), all from one bincount.
         cand = np.nonzero(splittable)[0]
         n_cand = cand.size
         slot = np.full(n_active, -1, dtype=np.int64)
@@ -166,16 +191,19 @@ def _grow_tree(
         in_cand = cs >= 0
         cs = cs[in_cand]
         crows = live_rows[in_cand]
-        if max_features and feature_rng is not None:
-            keys = feature_rng.random((n_active, n_feat))  # drawn for every active node
+        if rngs:
+            per_tree = np.bincount(tree_of_node, minlength=n_trees).tolist()
+            keys = np.concatenate([rngs[t].random((c, n_feat)) for t, c in enumerate(per_tree) if c])
             order = np.argsort(keys, axis=1, kind="stable")
             feats = np.sort(order[cand, :max_features], axis=1)  # ascending per node
+            m = max_features
             row_codes = np.take_along_axis(codes[crows], feats[cs], axis=1)
+            key = (((cs * m)[:, None] + np.arange(m)) * bins + row_codes).ravel()
+            feat_ok = thr_ok[feats]
         else:
-            feats = np.broadcast_to(np.arange(n_feat), (n_cand, n_feat))
-            row_codes = codes[crows]
-        m = feats.shape[1]
-        key = (((cs * m)[:, None] + np.arange(m)) * bins + row_codes).ravel()
+            m = n_feat
+            key = ((cs * (m * bins))[:, None] + feature_keys[crows]).ravel()
+            feat_ok = thr_ok
         size = n_cand * m * bins
         shape = (n_cand, m, bins)
         hw = np.bincount(key, weights=np.repeat(lw[in_cand], m), minlength=size).reshape(shape)
@@ -187,7 +215,7 @@ def _grow_tree(
         wr_ = csw - wl
         wrr = cswr - wrl
 
-        valid = (wl > 0) & (wr_ > 0) & thr_ok[feats]
+        valid = (wl > 0) & (wr_ > 0) & feat_ok
         if min_samples_leaf > 1:
             hn = np.bincount(key, minlength=size).reshape(shape)
             nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
@@ -208,7 +236,7 @@ def _grow_tree(
         best_gain = np.zeros(n_active)
         best_gain[cand] = cand_gain
         best_feat = np.zeros(n_active, dtype=np.int64)
-        best_feat[cand] = feats[np.arange(n_cand), col]
+        best_feat[cand] = feats[np.arange(n_cand), col] if rngs else col
         best_bin = np.zeros(n_active, dtype=np.int64)
         best_bin[cand] = cand_bin
         split = best_gain > 1e-12
@@ -218,26 +246,35 @@ def _grow_tree(
         left = np.where(split, first, -1)
         right = np.where(split, first + 1, -1)
         threshold = np.where(split, design.thr_table[best_feat, best_bin], 0.0)
-        levels.append((feature, threshold, left, right, value))
-        np.add.at(importance, best_feat[split], best_gain[split])  # in node order
+        levels.append((tree_of_node, feature, threshold, left, right, value))
+        np.add.at(importance, (tree_of_node[split], best_feat[split]), best_gain[split])
 
         has_split = split[rs]
         srows = live_rows[has_split]
         s_slot = rs[has_split]
         go_left = codes[srows, best_feat[s_slot]] <= best_bin[s_slot]
         node_of_row[srows] = np.where(go_left, left[s_slot], right[s_slot])
+        tree_of_node = np.repeat(tree_of_node[split], 2)
         lo, hi = hi, hi + 2 * int(split.sum())
 
-    feature, threshold, left, right, value = (np.concatenate(a) for a in zip(*levels))
-    tree = _Tree(
-        feature.astype(np.int32),
-        threshold,
-        left.astype(np.int32),
-        right.astype(np.int32),
-        value,
-        importance,
-    )
-    return tree, node_of_row
+    tree, *arrays = (np.concatenate(a) for a in zip(*levels))
+    if n_trees == 1:
+        per_tree = [arrays]
+    else:  # regroup the nodes tree by tree and renumber them within their tree
+        sizes = np.bincount(tree, minlength=n_trees)
+        order = np.argsort(tree, kind="stable")
+        own_id = np.empty_like(order)
+        own_id[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        feature, threshold, left, right, value = arrays
+        left = np.where(left >= 0, own_id[left], -1)
+        right = np.where(right >= 0, own_id[right], -1)
+        ends = np.cumsum(sizes)[:-1]
+        per_tree = zip(*(np.split(a[order], ends) for a in (feature, threshold, left, right, value)))
+    trees = [
+        _Tree(feature.astype(np.int32), threshold, left.astype(np.int32), right.astype(np.int32), value, imp)
+        for (feature, threshold, left, right, value), imp in zip(per_tree, importance)
+    ]
+    return trees, node_of_row
 
 
 class RandomForestClassifier:
@@ -269,25 +306,36 @@ class RandomForestClassifier:
         self.n_features = f
         design = _BinnedDesign(X, self.max_bins)
         max_features = max(1, int(np.sqrt(f)))
+        yf = y.astype(np.float64)
+        # every tree of a group may split min(2^(max_depth-1), n // min_samples_split)
+        # nodes on one level, each with a max_features x bins histogram
+        widest = min(2 ** (self.max_depth - 1), n // self.min_samples_split)
+        group = max(1, HIST_BUDGET // max(1, widest * max_features * design.bins))
         self.trees = []
-        total_importance = np.zeros(f)
-        for t in range(self.n_trees):
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(t,)))
-            boot = np.bincount(rng.integers(0, n, n), minlength=n)
-            rows = np.nonzero(boot)[0]
-            tree, _ = _grow_tree(
+        for start in range(0, self.n_trees, group):
+            rngs, rows, weights = [], [], []
+            for t in range(start, min(start + group, self.n_trees)):
+                rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(t,)))
+                boot = np.bincount(rng.integers(0, n, n), minlength=n)
+                rows.append(np.nonzero(boot)[0])
+                # bootstrap multiplicity folded into weights
+                weights.append((sample_weight * boot)[rows[-1]])
+                rngs.append(rng)
+            trees, _ = _grow_trees(
                 design,
                 rows,
-                y.astype(np.float64),
-                sample_weight * boot,  # bootstrap multiplicity folded into weights
+                yf,
+                np.concatenate(weights),
                 criterion="gini",
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
-                feature_rng=rng,
+                rngs=rngs,
                 max_features=max_features,
             )
-            self.trees.append(tree)
+            self.trees += trees
+        total_importance = np.zeros(f)
+        for tree in self.trees:
             total_importance += tree.importance
         s = total_importance.sum()
         self.feature_importances_ = total_importance / s if s > 0 else total_importance
@@ -341,7 +389,6 @@ class GradientBoostingClassifier:
         n, f = X.shape
         self.n_features = f
         design = _BinnedDesign(X, self.max_bins)
-        rows = np.arange(n)
         wsum = sample_weight.sum()
         p0 = float(np.clip((sample_weight * y).sum() / wsum, 1e-12, 1 - 1e-12))
         self.f0 = float(np.log(p0 / (1 - p0)))
@@ -352,9 +399,9 @@ class GradientBoostingClassifier:
         for _ in range(self.n_rounds):
             p = _sigmoid(margin)
             residual = yf - p
-            tree, leaf_of_row = _grow_tree(
+            (tree,), leaf_of_row = _grow_trees(
                 design,
-                rows,
+                None,
                 residual,
                 sample_weight,
                 criterion="mse",

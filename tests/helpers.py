@@ -19,6 +19,7 @@ from shopstream import markov
 from shopstream.features import catalog
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent
 from shopstream.models.mlp import MLPClassifier
+from shopstream.models.trees import _BinnedDesign, _Tree
 from shopstream.sessions import Session
 from shopstream.synthgen import GenConfig, _normalized
 
@@ -462,3 +463,184 @@ def mlp_loss_and_grad(params: dict, X: np.ndarray, y: np.ndarray, sample_weight:
     loss = -float(np.sum(sw * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))))
     gw1, gb1, gw2, gb2 = MLPClassifier._backward(X, h, sw * (p - y), params["w2"])
     return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": float(gb2)}
+
+
+def grow_tree_reference(
+    design: _BinnedDesign,
+    rows: np.ndarray,
+    response: np.ndarray,
+    weights: np.ndarray,
+    *,
+    criterion: str,
+    max_depth: int,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    feature_rng=None,
+    max_features: int = 0,
+):
+    """One tree grown alone, level-wise: a per-tree loop kept as the oracle
+    for the grouped grower. Returns the tree and each row's leaf id.
+
+    criterion "gini" treats response as 0/1 labels and stores the weighted
+    positive fraction in leaves; "mse" fits weighted means of the response.
+    Gains are weighted impurity decreases, accumulated per feature as the
+    importance vector.
+
+    Each level's nodes are numbered consecutively after the previous level's,
+    so the active nodes are the id range [lo, hi) and a row whose node id is
+    below lo sits in a finished leaf.
+    """
+    codes = design.codes[rows]  # subset-relative copy; all row indices below are local
+    bins = design.bins
+    n_feat = design.n_features
+    max_thr = bins - 1
+    thr_ok = np.arange(max_thr) < design.n_thr[:, None]  # (n_feat, max_thr)
+    r = response[rows]
+    w = weights[rows]
+
+    levels = []  # per level: (feature, threshold, left, right, value) arrays
+    importance = np.zeros(n_feat)
+    node_of_row = np.zeros(rows.size, dtype=np.int64)
+    lo, hi = 0, 1
+
+    for depth in range(max_depth + 1):
+        n_active = hi - lo
+        if n_active == 0:
+            break
+        live_rows = np.nonzero(node_of_row >= lo)[0]
+        rs = node_of_row[live_rows] - lo
+        lw = w[live_rows]
+        lr_ = r[live_rows]
+        lwr = lw * lr_
+
+        sw = np.bincount(rs, weights=lw, minlength=n_active)
+        swr = np.bincount(rs, weights=lwr, minlength=n_active)
+        cnt = np.bincount(rs, minlength=n_active)
+        value = swr / sw  # positive fraction (gini) or weighted mean (mse)
+        if depth == max_depth or max_thr == 0:  # leaves only
+            leaf = np.full(n_active, -1, dtype=np.int64)
+            levels.append((leaf, np.zeros(n_active), leaf, leaf, value))
+            break
+
+        # splittable check: enough rows and impure
+        if criterion == "gini":
+            impure = (swr > 1e-12) & (sw - swr > 1e-12)
+        else:
+            swr2 = np.bincount(rs, weights=lwr * lr_, minlength=n_active)
+            impure = (swr2 - swr * swr / np.maximum(sw, 1e-300)) > 1e-12
+        splittable = (cnt >= min_samples_split) & impure
+
+        # Only splittable nodes get histograms: one per (node, allowed
+        # feature, bin), all from one bincount. Rows enter each bin in row
+        # order, as a per-feature bincount would add them.
+        cand = np.nonzero(splittable)[0]
+        n_cand = cand.size
+        slot = np.full(n_active, -1, dtype=np.int64)
+        slot[cand] = np.arange(n_cand)
+        cs = slot[rs]
+        in_cand = cs >= 0
+        cs = cs[in_cand]
+        crows = live_rows[in_cand]
+        if max_features and feature_rng is not None:
+            keys = feature_rng.random((n_active, n_feat))  # drawn for every active node
+            order = np.argsort(keys, axis=1, kind="stable")
+            feats = np.sort(order[cand, :max_features], axis=1)  # ascending per node
+            row_codes = np.take_along_axis(codes[crows], feats[cs], axis=1)
+        else:
+            feats = np.broadcast_to(np.arange(n_feat), (n_cand, n_feat))
+            row_codes = codes[crows]
+        m = feats.shape[1]
+        key = (((cs * m)[:, None] + np.arange(m)) * bins + row_codes).ravel()
+        size = n_cand * m * bins
+        shape = (n_cand, m, bins)
+        hw = np.bincount(key, weights=np.repeat(lw[in_cand], m), minlength=size).reshape(shape)
+        hwr = np.bincount(key, weights=np.repeat(lwr[in_cand], m), minlength=size).reshape(shape)
+        wl = np.cumsum(hw, axis=2)[:, :, :max_thr]
+        wrl = np.cumsum(hwr, axis=2)[:, :, :max_thr]
+        csw = sw[cand][:, None, None]
+        cswr = swr[cand][:, None, None]
+        wr_ = csw - wl
+        wrr = cswr - wrl
+
+        valid = (wl > 0) & (wr_ > 0) & thr_ok[feats]
+        if min_samples_leaf > 1:
+            hn = np.bincount(key, minlength=size).reshape(shape)
+            nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
+            nr = cnt[cand][:, None, None] - nl
+            valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if criterion == "gini":
+                parent = 2.0 * cswr * (csw - cswr) / csw
+                child = 2.0 * wrl * (wl - wrl) / wl + 2.0 * wrr * (wr_ - wrr) / wr_
+                gain = parent - child
+            else:
+                gain = wrl * wrl / wl + wrr * wrr / wr_ - cswr * cswr / csw
+        gain = np.where(valid, gain, -np.inf).reshape(n_cand, m * max_thr)
+        # first max in feature-major order: lowest feature, then lowest threshold
+        best = np.argmax(gain, axis=1)
+        cand_gain = gain[np.arange(n_cand), best]
+        col, cand_bin = np.divmod(best, max_thr)
+        best_gain = np.zeros(n_active)
+        best_gain[cand] = cand_gain
+        best_feat = np.zeros(n_active, dtype=np.int64)
+        best_feat[cand] = feats[np.arange(n_cand), col]
+        best_bin = np.zeros(n_active, dtype=np.int64)
+        best_bin[cand] = cand_bin
+        split = best_gain > 1e-12
+
+        first = hi + 2 * (np.cumsum(split) - 1)  # left child id; right is first + 1
+        feature = np.where(split, best_feat, -1)
+        left = np.where(split, first, -1)
+        right = np.where(split, first + 1, -1)
+        threshold = np.where(split, design.thr_table[best_feat, best_bin], 0.0)
+        levels.append((feature, threshold, left, right, value))
+        np.add.at(importance, best_feat[split], best_gain[split])  # in node order
+
+        has_split = split[rs]
+        srows = live_rows[has_split]
+        s_slot = rs[has_split]
+        go_left = codes[srows, best_feat[s_slot]] <= best_bin[s_slot]
+        node_of_row[srows] = np.where(go_left, left[s_slot], right[s_slot])
+        lo, hi = hi, hi + 2 * int(split.sum())
+
+    feature, threshold, left, right, value = (np.concatenate(a) for a in zip(*levels))
+    tree = _Tree(
+        feature.astype(np.int32),
+        threshold,
+        left.astype(np.int32),
+        right.astype(np.int32),
+        value,
+        importance,
+    )
+    return tree, node_of_row
+
+
+def rf_fit_reference(model, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray):
+    """RandomForestClassifier.fit, one tree at a time with grow_tree_reference."""
+    n, f = X.shape
+    model.n_features = f
+    design = _BinnedDesign(X, model.max_bins)
+    max_features = max(1, int(np.sqrt(f)))
+    model.trees = []
+    total_importance = np.zeros(f)
+    for t in range(model.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(model.seed, spawn_key=(t,)))
+        boot = np.bincount(rng.integers(0, n, n), minlength=n)
+        rows = np.nonzero(boot)[0]
+        tree, _ = grow_tree_reference(
+            design,
+            rows,
+            y.astype(np.float64),
+            sample_weight * boot,
+            criterion="gini",
+            max_depth=model.max_depth,
+            min_samples_split=model.min_samples_split,
+            min_samples_leaf=model.min_samples_leaf,
+            feature_rng=rng,
+            max_features=max_features,
+        )
+        model.trees.append(tree)
+        total_importance += tree.importance
+    s = total_importance.sum()
+    model.feature_importances_ = total_importance / s if s > 0 else total_importance
+    return model

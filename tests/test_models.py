@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import mlp_loss_and_grad
+import tracemalloc
+
+from helpers import grow_tree_reference, mlp_loss_and_grad, rf_fit_reference
 from shopstream.models import (
     MODEL_KINDS,
     DimensionMismatch,
@@ -22,7 +24,8 @@ from shopstream.models import (
 from shopstream.models.linear import LogisticRegression, _sigmoid
 from shopstream.models.mlp import MLPClassifier
 from shopstream.models.neighbors import KNNClassifier, _nearest
-from shopstream.models.trees import GradientBoostingClassifier
+from shopstream.models import trees
+from shopstream.models.trees import GradientBoostingClassifier, RandomForestClassifier
 
 
 def _fast_cfg(kind, seed=0, **kw):
@@ -457,18 +460,190 @@ def test_other_kinds_permutation_importance_bit_equal_to_reference(kind):
 
 
 @pytest.mark.parametrize("kind", ["knn", "mlp"])
-def test_permutation_importance_one_predict_per_feature(kind):
+def test_permutation_importance_one_predict_per_feature(kind, monkeypatch):
     X, y = blobs(seed=8, n=120, d=6)
+    X[:, 1] = np.round(X[:, 1])  # repeated values, so some shuffled rows keep theirs
     model = fit(X, y, _fast_cfg(kind, mlp_epochs=5))
-    calls = []
+    calls, ranked = [], []
     real = model.predict_proba
 
     def counting(X):
         calls.append(X.shape)
         return real(X)
 
+    real_nearest = neighbors._nearest
+
+    def nearest(d2, k):
+        ranked.append(d2.shape[0])
+        return real_nearest(d2, k)
+
     model.predict_proba = counting
+    monkeypatch.setattr(neighbors, "_nearest", nearest)
+    if kind == "knn":
+        monkeypatch.setattr(neighbors, "MOVED_BUDGET", 7 * model.X_.shape[0])
     permutation_importance(model, X[:40], y[:40], seed=1)
-    # the unshuffled baseline, then one stack of N_SHUFFLES copies per feature
-    assert len(calls) <= X.shape[1] + 1
-    assert calls[1:] == [(N_SHUFFLES, 40, X.shape[1])] * X.shape[1]
+    if kind == "mlp":
+        # the unshuffled baseline, then one stack of N_SHUFFLES copies per feature
+        assert calls == [(40, X.shape[1])] + [(N_SHUFFLES, 40, X.shape[1])] * X.shape[1]
+        return
+    # the unshuffled baseline only; then the rows whose shuffled value moved,
+    # drawn as permutation_importance draws them, are ranked 7 at a time
+    assert calls == [(40, X.shape[1])]
+    rng = np.random.default_rng(1)
+    n_moved = 0
+    for j in range(X.shape[1]):
+        for _ in range(N_SHUFFLES):
+            n_moved += np.count_nonzero(X[:40][rng.permutation(40), j] != X[:40, j])
+    assert n_moved < N_SHUFFLES * 40 * X.shape[1]
+    assert ranked == [40] + [7] * (n_moved // 7) + ([n_moved % 7] if n_moved % 7 else [])
+
+
+def test_knn_permutation_importance_one_moved_row_per_buffer(monkeypatch):
+    monkeypatch.setattr(neighbors, "MOVED_BUDGET", 1)
+    for i, (X, y, w, Q, y_q) in enumerate(_knn_holdout_cases()):
+        for k in (1, 5):
+            model = KNNClassifier(k=k).fit(X, y, w)
+            got = permutation_importance(model, Q, y_q, seed=i)
+            want = _permutation_importance_reference(model, Q, y_q, seed=i)
+            assert got.tobytes() == want.tobytes(), (i, k)
+
+
+def test_knn_permutation_importance_constant_column(monkeypatch):
+    # no shuffle moves a constant column: its rows keep the unshuffled
+    # prediction, it is never ranked, and its drop is exactly 0
+    X, y, w, Q = _tie_heavy(seed=4)
+    Q = Q.copy()
+    Q[:, 2] = 1.0
+    y_q = np.random.default_rng(104).integers(0, 2, Q.shape[0])
+    model = KNNClassifier(k=5).fit(X, y, w)
+    want = _permutation_importance_reference(model, Q, y_q, seed=3)
+    ranked = []
+    real_nearest = neighbors._nearest
+
+    def nearest(d2, k):
+        ranked.append(d2.shape[0])
+        return real_nearest(d2, k)
+
+    monkeypatch.setattr(neighbors, "_nearest", nearest)
+    monkeypatch.setattr(neighbors, "MOVED_BUDGET", 1)
+    got = permutation_importance(model, Q, y_q, seed=3)
+    assert got.tobytes() == want.tobytes()
+    assert got[2] == 0.0 and got.any()
+    rng = np.random.default_rng(3)
+    moved = sum(np.count_nonzero(Q[rng.permutation(len(Q)), j] != Q[:, j])
+                for j in range(Q.shape[1]) for _ in range(N_SHUFFLES))
+    assert len(ranked) == 1 + moved  # the baseline's one call, then one per moved row
+
+
+def test_knn_permutation_importance_peak_memory_within_reference():
+    # a default-size fold: 780 training rows, 87 held out, 23 features
+    X, y = blobs(seed=21, n=867, d=23, gap=0.4)
+    model = fit(X[:780], y[:780], _fast_cfg("knn"))
+    Q, y_q = X[780:], y[780:]
+    peaks = []
+    for path in (permutation_importance, _permutation_importance_reference):
+        path(model, Q, y_q, seed=4)
+        tracemalloc.start()
+        try:
+            path(model, Q, y_q, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+# --- rf trees grown as a group against one tree at a time ---------------------
+
+
+def _assert_same_forest(got, want, X_probe):
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        for key in ("feature", "threshold", "left", "right", "value", "importance"):
+            assert getattr(a, key).dtype == getattr(b, key).dtype, key
+            assert getattr(a, key).tobytes() == getattr(b, key).tobytes(), key
+    assert got.feature_importances_.tobytes() == want.feature_importances_.tobytes()
+    assert got.predict_proba(X_probe).tobytes() == want.predict_proba(X_probe).tobytes()
+
+
+def _depth(tree) -> int:
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for node in range(tree.feature.size):  # children come after their parent
+        if tree.feature[node] >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+_RF_CASES = ["default", "min_samples_leaf=3", "constant column", "all columns constant",
+             "max_depth=1", "uneven depths", "integer columns, 4 bins"]
+
+
+def _rf_case(name):
+    """(X, y, forest parameters) of one rf comparison case."""
+    X, y = blobs(seed=31, n=150, d=6, gap=0.8)
+    if name == "min_samples_leaf=3":
+        return X, y, {"min_samples_leaf": 3}
+    if name == "constant column":
+        X[:, 2] = 4.0
+    if name == "all columns constant":  # max_thr == 0: every tree is one leaf
+        return np.ones((40, 3)), y[:40], {}
+    if name == "max_depth=1":
+        return X, y, {"max_depth": 1}
+    if name == "uneven depths":
+        X, y = blobs(seed=32, n=80, d=3, gap=3.0)
+        return X, y, {"max_depth": 6}
+    if name == "integer columns, 4 bins":
+        return np.round(X * 2), y, {"max_bins": 4}
+    return X, y, {}
+
+
+@pytest.mark.parametrize("name", _RF_CASES)
+def test_rf_grown_as_group_bit_equal_to_per_tree_reference(name):
+    X, y, params = _rf_case(name)
+    sw = sample_weights(y)
+    seed = _RF_CASES.index(name)
+    params = {"n_trees": 9, "max_depth": 8, "seed": seed, **params}
+    got = RandomForestClassifier(**params).fit(X, y, sw)
+    want = rf_fit_reference(RandomForestClassifier(**params), X, y, sw)
+    _assert_same_forest(got, want, np.random.default_rng(seed).normal(size=(25, X.shape[1])) + X.mean(axis=0))
+    if name == "uneven depths":
+        assert len({_depth(t) for t in got.trees}) > 1
+    if name == "all columns constant":
+        assert all(t.feature.tolist() == [-1] for t in got.trees)
+
+
+def test_rf_groups_capped_by_histogram_budget(monkeypatch):
+    X, y = blobs(seed=33, n=120, d=9, gap=0.6)
+    sw = sample_weights(y)
+    # a tree of this fit may split min(2^11, 120 // 2) nodes, each with a
+    # 3-feature x 32-bin histogram
+    monkeypatch.setattr(trees, "HIST_BUDGET", 3 * 60 * 3 * 32)
+    groups = []
+    real = trees._grow_trees
+
+    def counting(design, rows, *args, **kw):
+        groups.append(len(rows))
+        return real(design, rows, *args, **kw)
+
+    monkeypatch.setattr(trees, "_grow_trees", counting)
+    got = RandomForestClassifier(n_trees=7, seed=4).fit(X, y, sw)
+    assert groups == [3, 3, 1]
+    want = rf_fit_reference(RandomForestClassifier(n_trees=7, seed=4), X, y, sw)
+    _assert_same_forest(got, want, X[:30] + 0.1)
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_gbdt_shared_grower_bit_equal_to_per_tree_reference(min_samples_leaf, monkeypatch):
+    X, y = blobs(seed=34, n=160, d=5, gap=0.5)
+    X[:, 3] = 2.0
+    sw = sample_weights(y)
+    got = GradientBoostingClassifier(n_rounds=12, min_samples_leaf=min_samples_leaf).fit(X, y, sw)
+
+    def reference(design, rows, response, weights, **kw):
+        assert rows is None
+        tree, leaf_of_row = grow_tree_reference(design, np.arange(response.size), response, weights, **kw)
+        return [tree], leaf_of_row
+
+    monkeypatch.setattr(trees, "_grow_trees", reference)
+    want = GradientBoostingClassifier(n_rounds=12, min_samples_leaf=min_samples_leaf).fit(X, y, sw)
+    _assert_same_forest(got, want, X[:40] - 0.2)
+    assert got.f0 == want.f0
