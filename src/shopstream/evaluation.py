@@ -9,7 +9,6 @@ only; held-out sessions influence nothing but their own feature rows.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +30,6 @@ from .models import (
     f1_score,
     fit as fit_model,
     importance as model_importance,
-    model_to_json,
     predict,
 )
 from .sessions import build_journeys
@@ -152,9 +150,6 @@ class Scaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
 
 def _model_seed(master: int, setting: str, fold: int, step: int, variant: str, kind: str) -> int:
     key = (
@@ -183,14 +178,14 @@ def _folds(sessions, setting: str, cfg: ProtocolConfig):
 
 
 def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
-              cfg: ProtocolConfig, collect_artifacts: bool = False):
+              cfg: ProtocolConfig):
     """Fit context + models on the builder's sessions outside fold_ids,
     evaluate inside.
 
     full_journeys are the journeys of all_sessions; held-out rows read their
     history from them, as at prediction time. Returns
     {(kind, variant, step): (precision, recall, f1, importance) or an error
-    string} and the fold's artifacts (None unless collected).
+    string}.
     """
     eval_set = set(fold_ids)
     held = np.array([s.session_id in eval_set for s in builder.sessions], dtype=bool)
@@ -205,15 +200,12 @@ def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
     held_out = builder.fold(eval_rows, full_journeys, ctx)
 
     cells = {}
-    artifacts = {"context": ctx.to_dict(), "scalers": {}, "models": {}} if collect_artifacts else None
     for step in cfg.steps:
         for variant in cfg.variants:
             X_tr, y_tr = builder.matrix(step, variant, train)
             X_ev, y_ev = builder.matrix(step, variant, held_out)
             scaler = Scaler.fit(X_tr)
             scaled = scaler.transform(X_tr), scaler.transform(X_ev)
-            if collect_artifacts:
-                artifacts["scalers"][f"{step}/{variant}"] = scaler.to_dict()
             for kind in cfg.models:
                 seed = _model_seed(cfg.seed, builder.setting, fold_index, step, variant, kind)
                 X_fit, X_test = scaled if kind in SCALED_KINDS else (X_tr, X_ev)
@@ -222,11 +214,9 @@ def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
                     precision, recall, f1 = f1_score(y_ev, predict(model, X_test))
                     imp = model_importance(model, X_test, y_ev, seed=seed)
                     cells[kind, variant, step] = (precision, recall, f1, imp)
-                    if collect_artifacts:
-                        artifacts["models"][f"{step}/{variant}/{kind}"] = model_to_json(model)
                 except Exception as exc:  # a failed cell is reported, not fatal
                     cells[kind, variant, step] = f"{type(exc).__name__}: {exc}"
-    return cells, artifacts
+    return cells
 
 
 def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
@@ -244,7 +234,7 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
         pool, folds = _folds(sessions, setting, cfg)
         builder = StepMatrixBuilder(pool, setting, cfg.steps)
         fold_cells = [
-            _run_fold(sessions, full_journeys, builder, fold_ids, fold_index, cfg)[0]
+            _run_fold(sessions, full_journeys, builder, fold_ids, fold_index, cfg)
             for fold_index, fold_ids in enumerate(folds)
         ]
         for variant in cfg.variants:
@@ -267,18 +257,3 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
                         )
                     )
     return ProtocolReport(rows=rows, names=names)
-
-
-def fold_artifacts(sessions, cfg: ProtocolConfig, setting: str = "anonymous",
-                   fold_index: int = 0) -> str:
-    """Serialized fold-fitted statistics (chains, conversion table, scalers,
-    model parameters) for one fold; used to verify leakage freedom."""
-    sessions = list(sessions)
-    pool, folds = _folds(sessions, setting, cfg)
-    builder = StepMatrixBuilder(pool, setting, cfg.steps)
-    _, artifacts = _run_fold(
-        sessions, build_journeys(sessions), builder, folds[fold_index], fold_index, cfg,
-        collect_artifacts=True,
-    )
-    return json.dumps(artifacts, sort_keys=True, separators=(",", ":"))
-

@@ -108,16 +108,6 @@ class FeatureContext:
     device_conversion: dict
     global_conversion: float
 
-    def to_dict(self) -> dict:
-        return {
-            "page_chain_purchase": self.page_chain_purchase.to_dict(),
-            "page_chain_nonpurchase": self.page_chain_nonpurchase.to_dict(),
-            "device_chain_purchase": self.device_chain_purchase.to_dict(),
-            "device_chain_nonpurchase": self.device_chain_nonpurchase.to_dict(),
-            "device_conversion": dict(sorted(self.device_conversion.items())),
-            "global_conversion": self.global_conversion,
-        }
-
 
 def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
     """Fit Laplace-smoothed Markov chains and the device conversion table on

@@ -51,13 +51,6 @@ class MarkovChain:
         except KeyError as exc:
             raise UnknownSymbol(f"symbol {exc.args[0]!r} not in alphabet") from None
 
-    def to_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "counts": self.counts.tolist(),
-            "alpha": self.alpha,
-        }
-
 
 def fit(sequences, alphabet: Sequence[str], alpha: float = 1.0) -> MarkovChain:
     """Count adjacent symbol pairs across all sequences.

@@ -4,14 +4,13 @@ Class weighting is inverse-frequency: w_c = N / (2 * N_c); the weight of
 example i is w over its own class and enters every loss and split criterion
 (KNN applies it to votes). Decisions use a fixed 0.5 threshold.
 
-Fitted models serialize to versioned JSON (`model_to_json`) for
-`evaluation.fold_artifacts`, which the leakage check compares as text;
+Fitted state lives in plain attributes with no serializer of its own; the
+leakage check's generic JSON serializer lives in tests/helpers.py, and
 nothing loads a model back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .neighbors import KNNClassifier
 from .trees import GradientBoostingClassifier, RandomForestClassifier
 
 MODEL_KINDS = ("lr", "knn", "svm", "rf", "gbdt", "mlp")
-ARTIFACT_VERSION = 1
 
 # models whose features should be z-scored by the caller
 SCALED_KINDS = frozenset({"lr", "svm", "knn", "mlp"})
@@ -229,14 +227,3 @@ def importance(model, X_holdout=None, y_holdout=None, seed: int = 0) -> np.ndarr
     if X_holdout is None or y_holdout is None:
         raise ValueError(f"{kind} importances require held-out data")
     return permutation_importance(model, X_holdout, y_holdout, seed)
-
-
-def model_to_json(model) -> str:
-    payload = {
-        "version": ARTIFACT_VERSION,
-        "kind": model.kind,
-        "feature_names": None,  # kept so that existing artifact digests hold
-        "n_features_in": getattr(model, "n_features_in_", None),
-        "params": model.to_dict(),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

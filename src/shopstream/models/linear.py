@@ -50,16 +50,6 @@ class LogisticRegression:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
 
 def _platt_fit(margins: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
                epochs: int = 300, lr: float = 0.2) -> tuple[float, float]:
@@ -120,15 +110,3 @@ class LinearSVM:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.platt_a * self.decision_function(X) + self.platt_b)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "platt_a": self.platt_a,
-            "platt_b": self.platt_b,
-        }

@@ -77,15 +77,3 @@ class MLPClassifier:
         """P(y=1) for each row of X; leading axes are a batch, and each
         stacked product is slice for slice bit-equal to a 2-D call."""
         return self._forward(X, self.w1, self.b1, self.w2, self.b2)[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2,
-        }

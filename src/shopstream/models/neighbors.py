@@ -166,12 +166,3 @@ class KNNClassifier:
         if filled:
             flush()
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "X": self.X_.tolist(),
-            "y": self.y_.tolist(),
-            "vote_weight": self.vote_weight_.tolist(),
-        }

@@ -92,15 +92,6 @@ class _Tree:
             cur[rows] = np.where(go_left, self.left[cur[rows]], self.right[cur[rows]])
         return self.value[cur].reshape(lead)
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
 
 def _grow_trees(
     design: _BinnedDesign,
@@ -347,18 +338,6 @@ class RandomForestClassifier:
             acc += tree.predict(X)
         return acc / len(self.trees)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_samples_split": self.min_samples_split,
-            "max_bins": self.max_bins,
-            "seed": self.seed,
-            "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
 
 class GradientBoostingClassifier:
     """Log-loss boosting with depth-limited regression trees and Newton leaves."""
@@ -430,16 +409,3 @@ class GradientBoostingClassifier:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_bins": self.max_bins,
-            "seed": self.seed,
-            "f0": self.f0,
-            "n_features": self.n_features,
-            "trees": [t.to_dict() for t in self.trees],
-        }

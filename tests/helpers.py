@@ -2,20 +2,22 @@
 
 The oracles are deliberately naive and independent of the library's own
 algorithms: dict counting, explicit loops, no shared helpers, so the tests
-compare two separately derived answers. The presets (plant_signal) and
-report readers (static_share, spearman_rank_correlation) serve only the
-tests and the acceptance criteria; the pipeline never calls them.
+compare two separately derived answers. The presets (plant_signal), report
+readers (static_share, spearman_rank_correlation) and the fitted-state
+serializer (fold_artifacts, model_to_json) serve only the tests and the
+acceptance criteria; the pipeline never calls them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from shopstream import markov
+from shopstream import evaluation, markov
 from shopstream.features import catalog
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent
 from shopstream.models.mlp import MLPClassifier
@@ -644,3 +646,88 @@ def rf_fit_reference(model, X: np.ndarray, y: np.ndarray, sample_weight: np.ndar
     s = total_importance.sum()
     model.feature_importances_ = total_importance / s if s > 0 else total_importance
     return model
+
+
+# --- fitted-state serializer ---------------------------------------------------
+
+# attributes recomputed from the serialized ones, or reports about the fit
+_DERIVED = frozenset(
+    {"n_features_in_", "feature_importances_", "importance", "index", "probs", "_log_probs"}
+)
+
+
+def fitted_state(obj):
+    """An object's fitted state as JSON-ready values: its attributes (slots
+    for _Tree) keyed without a trailing "_", arrays and tuples as lists, and
+    the _DERIVED attributes left out."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [fitted_state(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: fitted_state(v) for k, v in obj.items()}
+    names = getattr(obj, "__slots__", None) or vars(obj)
+    return {n.removesuffix("_"): fitted_state(getattr(obj, n)) for n in names if n not in _DERIVED}
+
+
+def _compact(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def model_to_json(model) -> str:
+    """A fitted model as versioned JSON text; the envelope keeps the fields
+    whose bytes the golden digests pin."""
+    return _compact({
+        "version": 1,
+        "kind": model.kind,
+        "feature_names": None,
+        "n_features_in": getattr(model, "n_features_in_", None),
+        "params": fitted_state(model),
+    })
+
+
+def _capturing(fn, sink):
+    def wrapped(*args, **kwargs):
+        sink.append(fn(*args, **kwargs))
+        return sink[-1]
+    return wrapped
+
+
+def fold_artifacts(sessions, cfg, setting: str = "anonymous", fold_index: int = 0) -> str:
+    """One fold's fitted state (Markov chains, conversion table, scalers,
+    models) as JSON text, for the leakage check.
+
+    Runs the real evaluation._run_fold while the three names it fits through
+    (fit_feature_context, Scaler.fit, fit_model) record what they return.
+    Scalers are keyed step/variant and models step/variant/kind in loop
+    order; a fold that fits anything less than one context, one scaler per
+    (step, variant) and one model per (step, variant, kind) fails an assert,
+    so the comparison can never be of empty captures.
+    """
+    sessions = list(sessions)
+    pool, folds = evaluation._folds(sessions, setting, cfg)
+    builder = evaluation.StepMatrixBuilder(pool, setting, cfg.steps)
+    contexts, scalers, models = [], [], []
+    saved = (evaluation.fit_feature_context, vars(evaluation.Scaler)["fit"], evaluation.fit_model)
+    evaluation.fit_feature_context = _capturing(evaluation.fit_feature_context, contexts)
+    evaluation.Scaler.fit = staticmethod(_capturing(evaluation.Scaler.fit, scalers))
+    evaluation.fit_model = _capturing(evaluation.fit_model, models)
+    try:
+        evaluation._run_fold(sessions, evaluation.build_journeys(sessions), builder,
+                             folds[fold_index], fold_index, cfg)
+    finally:
+        evaluation.fit_feature_context, evaluation.Scaler.fit, evaluation.fit_model = saved
+    pairs = [f"{step}/{variant}" for step in cfg.steps for variant in cfg.variants]
+    keys = [f"{pair}/{kind}" for pair in pairs for kind in cfg.models]
+    assert len(contexts) == 1, f"captured {len(contexts)} feature contexts"
+    assert len(scalers) == len(pairs), f"captured {len(scalers)} scalers for {pairs}"
+    assert [m.kind for m in models] == list(cfg.models) * len(pairs), (
+        f"captured models {[m.kind for m in models]} for {keys}"
+    )
+    return _compact({
+        "context": fitted_state(contexts[0]),
+        "scalers": dict(zip(pairs, map(fitted_state, scalers))),
+        "models": dict(zip(keys, map(model_to_json, models))),
+    })

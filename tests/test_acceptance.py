@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
+and one more for criterion 6 that checks what its artifacts hold.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 as they complete. The protocol-scale criteria (7, 8, 9, 10) generate their
@@ -17,6 +18,7 @@ from helpers import (
     brute_force_chain_probs,
     brute_force_prf,
     brute_force_sessionize,
+    fold_artifacts,
     mk_event,
     mlp_loss_and_grad,
     plant_signal,
@@ -32,7 +34,6 @@ from shopstream.cli import main as cli_main
 from shopstream.evaluation import (
     ProtocolConfig,
     f1_score,
-    fold_artifacts,
     kfold_split,
     run_protocol,
 )
@@ -168,14 +169,18 @@ def _leakage_corpus():
     return sessions
 
 
-def test_c06_leakage_freedom():
-    sessions = _leakage_corpus()
-    cfg = ProtocolConfig(
+def _leakage_cfg():
+    return ProtocolConfig(
         steps=(0, 1, 2), folds=3, settings=("anonymous",),
         models=("rf", "lr", "svm", "knn", "gbdt", "mlp"), seed=66,
         train=TrainConfig(n_trees=8, max_depth=4, min_samples_leaf=4,
                           gbdt_rounds=10, epochs=60, mlp_epochs=50, knn_k=5),
     )
+
+
+def test_c06_leakage_freedom():
+    sessions = _leakage_corpus()
+    cfg = _leakage_cfg()
     before = fold_artifacts(sessions, cfg, "anonymous", fold_index=0)
 
     pool = [s for s in sessions if s.n_page_views >= cfg.min_pages]
@@ -203,6 +208,22 @@ def test_c06_leakage_freedom():
     same = before == after
     _verdict(6, same and len(heldout) > 0,
              f"serialized artifacts identical after mutating {len(heldout)} held-out sessions: {same}")
+
+
+def test_c06_artifacts_hold_every_fitted_state():
+    # criterion 6 compares these texts, so they must hold every fold-fitted
+    # statistic: the context, a scaler per (step, variant), a model per kind
+    artifacts = json.loads(fold_artifacts(_leakage_corpus(), _leakage_cfg(), "anonymous", 0))
+    assert set(artifacts) == {"context", "scalers", "models"}
+    assert set(artifacts["context"]) == {
+        "page_chain_purchase", "page_chain_nonpurchase", "device_chain_purchase",
+        "device_chain_nonpurchase", "device_conversion", "global_conversion",
+    }
+    pairs = {f"{step}/{variant}" for step in (0, 1, 2) for variant in ("baseline", "extended")}
+    assert set(artifacts["scalers"]) == pairs
+    assert set(artifacts["models"]) == {
+        f"{pair}/{kind}" for pair in pairs for kind in ("rf", "lr", "svm", "knn", "gbdt", "mlp")
+    }
 
 
 def _protocol_train():

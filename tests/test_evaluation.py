@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     brute_force_prf,
+    fold_artifacts,
     mk_event,
     mk_session,
     plant_signal,
@@ -17,7 +18,6 @@ from shopstream.evaluation import (
     Scaler,
     TooFewSessions,
     f1_score,
-    fold_artifacts,
     kfold_split,
     run_protocol,
 )
@@ -281,6 +281,17 @@ def test_fold_artifacts_ignore_heldout_mutations():
         else:
             mutated.append(s)
     assert fold_artifacts(mutated, cfg, "anonymous", fold_index=0) == baseline
+
+
+def test_fold_artifacts_refuse_an_empty_capture(monkeypatch):
+    from shopstream import evaluation
+
+    monkeypatch.setattr(evaluation, "_run_fold", lambda *args, **kwargs: {})
+    sessions = _corpus(np.random.default_rng(48), n_sessions=20)
+    cfg = ProtocolConfig(steps=(0,), folds=2, settings=("anonymous",), models=("lr",),
+                         train=_small_train())
+    with pytest.raises(AssertionError, match="captured 0 feature contexts"):
+        fold_artifacts(sessions, cfg)
 
 
 def test_static_share_stays_high_without_dynamic_signal():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import DAY_MS, MS, mk_event, mk_session, reference_row, static_mask
+from helpers import DAY_MS, MS, fitted_state, mk_event, mk_session, reference_row, static_mask
 from shopstream import markov
 from shopstream.features import (
     MissingJourney,
@@ -274,6 +274,6 @@ def test_context_serialization_is_deterministic():
     rng = np.random.default_rng(6)
     sessions = _random_corpus(rng, 10)
     journeys = build_journeys(sessions)
-    a = fit_feature_context(sessions, journeys).to_dict()
-    b = fit_feature_context(sessions, journeys).to_dict()
+    a = fitted_state(fit_feature_context(sessions, journeys))
+    b = fitted_state(fit_feature_context(sessions, journeys))
     assert a == b

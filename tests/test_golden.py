@@ -14,8 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from shopstream.evaluation import ProtocolConfig, fold_artifacts, run_protocol
-from shopstream.models import MODEL_KINDS, TrainConfig, fit, model_to_json, predict_proba
+from helpers import fold_artifacts, model_to_json
+from shopstream.evaluation import ProtocolConfig, run_protocol
+from shopstream.models import MODEL_KINDS, TrainConfig, fit, predict_proba
 from shopstream.synthgen import GenConfig, generate_sessions
 
 STEP_REPORT_SHA256 = "6588b48dc701967a812e2df355422e712e0a4eca9e0f2e1c778cd2eeaa5e2e81"
