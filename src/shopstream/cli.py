@@ -184,8 +184,8 @@ def cmd_ingest(args) -> int:
     cfg = _dataclass_from_dict(BotFilterConfig, load_config(args.config, args.set))
     _clear_outputs(args.out, "sessions.jsonl")
     started = time.time()
-    events = list(read_events(args.input))
-    kept, dropped = filter_events(events, cfg)
+    kept, dropped = filter_events(read_events(args.input), cfg)
+    events_read = len(kept) + dropped
     sessions = sessionize(kept)
     anonymous, identified = split_by_identity(sessions)
     os.makedirs(args.out, exist_ok=True)
@@ -197,7 +197,7 @@ def cmd_ingest(args) -> int:
             "subcommand": "ingest",
             "input": args.input,
             "input_sha256": _sha256(args.input),
-            "events_read": len(events),
+            "events_read": events_read,
             "events_dropped": dropped,
             "sessions": len(sessions),
             "anonymous_sessions": len(anonymous),
@@ -207,7 +207,7 @@ def cmd_ingest(args) -> int:
         },
     )
     print(
-        f"{len(events)} events read, {dropped} dropped; "
+        f"{events_read} events read, {dropped} dropped; "
         f"{len(sessions)} sessions ({len(anonymous)} anonymous / {len(identified)} identified)"
     )
     return EXIT_OK

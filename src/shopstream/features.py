@@ -15,12 +15,11 @@ step read nothing beyond its page views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import markov
-from .analytics import session_start_cet
+from .analytics import conversion_rates, session_start_cet
 from .ingest import CHANNELS, DEVICES, PAGE_TYPES
 from .sessions import Journey, Session, dwell_times, history_snapshot
 
@@ -38,63 +37,33 @@ class ShortSession(ValueError):
     pass
 
 
-class FeatureDescriptor(NamedTuple):
-    name: str
-    kind: str  # "dynamic" | "static"
+DYNAMIC_FEATURES = ("dwell_mean", "dwell_std", "page_sequence_score", "n_pages", "dwell_count")
+SESSION_FEATURES = (
+    *(f"channel={c}" for c in CHANNELS),
+    "start_hour",
+    *(f"weekday={w}" for w in WEEKDAY_NAMES),
+    *(f"device={d}" for d in DEVICES),
+    "device_conversion_rate",
+)
+# the baseline variant keeps the first two
+HISTORY_FEATURES = (
+    "orders", "days_since_last_purchase", "n_sessions", "n_devices",
+    "device_sequence_score", "switch_probability",
+)
 
 
-def _dynamic_block() -> list[FeatureDescriptor]:
-    return [
-        FeatureDescriptor("dwell_mean", "dynamic"),
-        FeatureDescriptor("dwell_std", "dynamic"),
-        FeatureDescriptor("page_sequence_score", "dynamic"),
-        FeatureDescriptor("n_pages", "dynamic"),
-        FeatureDescriptor("dwell_count", "dynamic"),
-    ]
-
-
-def _static_session_block() -> list[FeatureDescriptor]:
-    block = [FeatureDescriptor(f"channel={c}", "static") for c in CHANNELS]
-    block.append(FeatureDescriptor("start_hour", "static"))
-    block += [FeatureDescriptor(f"weekday={w}", "static") for w in WEEKDAY_NAMES]
-    block += [FeatureDescriptor(f"device={d}", "static") for d in DEVICES]
-    block.append(FeatureDescriptor("device_conversion_rate", "static"))
-    return block
-
-
-def _history_block() -> list[FeatureDescriptor]:
-    """In catalog order; the baseline variant keeps the first two."""
-    return [
-        FeatureDescriptor("orders", "static"),
-        FeatureDescriptor("days_since_last_purchase", "static"),
-        FeatureDescriptor("n_sessions", "static"),
-        FeatureDescriptor("n_devices", "static"),
-        FeatureDescriptor("device_sequence_score", "static"),
-        FeatureDescriptor("switch_probability", "static"),
-    ]
-
-
-def catalog(setting: str, variant: str) -> list[FeatureDescriptor]:
-    """Ordered feature descriptors for a (setting, variant) configuration.
+def feature_names(setting: str, variant: str) -> list[str]:
+    """Ordered feature names of a (setting, variant) configuration.
 
     Previous-device type and previous-device conversion rate are excluded
     everywhere. Baseline columns are a strict subset of extended columns.
     """
-    if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    feats = _dynamic_block()
+    names = list(DYNAMIC_FEATURES)
     if variant == "extended":
-        feats += _static_session_block()
+        names += SESSION_FEATURES
     if setting == "identified":
-        history = _history_block()
-        feats += history if variant == "extended" else history[:2]
-    return feats
-
-
-def feature_names(setting: str, variant: str) -> list[str]:
-    return [f.name for f in catalog(setting, variant)]
+        names += HISTORY_FEATURES if variant == "extended" else HISTORY_FEATURES[:2]
+    return names
 
 
 @dataclass
@@ -123,20 +92,15 @@ def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
         seq = hist.device_sequence + [s.device]
         if len(seq) >= 2:
             device_seqs[s.purchase].append(seq)
-    totals: dict[str, int] = {}
-    purchases: dict[str, int] = {}
-    for s in train_sessions:
-        totals[s.device] = totals.get(s.device, 0) + 1
-        if s.purchase:
-            purchases[s.device] = purchases.get(s.device, 0) + 1
-    n_total = sum(totals.values())
-    n_purchase = sum(purchases.values())
+    rates = conversion_rates(train_sessions)
+    n_total = sum(r.total_sessions for r in rates)
+    n_purchase = sum(r.purchase_sessions for r in rates)
     return FeatureContext(
         page_chain_purchase=markov.fit(page_seqs[True], PAGE_TYPES),
         page_chain_nonpurchase=markov.fit(page_seqs[False], PAGE_TYPES),
         device_chain_purchase=markov.fit(device_seqs[True], DEVICES),
         device_chain_nonpurchase=markov.fit(device_seqs[False], DEVICES),
-        device_conversion={d: purchases.get(d, 0) / t for d, t in totals.items()},
+        device_conversion={r.key: r.conversion_rate for r in rates},
         global_conversion=(n_purchase / n_total) if n_total else 0.0,
     )
 
@@ -158,7 +122,7 @@ def _session_columns(s: Session) -> list[float]:
 
 
 def _history_columns(s: Session, j: Journey, ctx: FeatureContext) -> list[float]:
-    """The history block in catalog order, from j's sessions before s."""
+    """The history block in HISTORY_FEATURES order, from j's sessions before s."""
     hist = history_snapshot(j, s.start_time)
     device_score = markov.class_score(
         ctx.device_chain_purchase,
@@ -203,7 +167,7 @@ class StepMatrixBuilder:
         # from/to page-type codes of the transitions the largest step scores
         width = max(last - 1, 0)
         self.pairs = np.zeros((2, n, width), dtype=np.int64)
-        self.static = np.zeros((n, len(_static_session_block()) - 1))
+        self.static = np.zeros((n, len(SESSION_FEATURES) - 1))
         page_index = {p: i for i, p in enumerate(PAGE_TYPES)}
         for i, s in enumerate(self.sessions):
             n_pv = s.n_page_views
@@ -238,7 +202,7 @@ class StepMatrixBuilder:
             ).reshape(-1, 1),
         }
         if self.setting == "identified":
-            fitted["history"] = np.zeros((len(rows), 6))
+            fitted["history"] = np.zeros((len(rows), len(HISTORY_FEATURES)))
             for r, i in enumerate(rows):
                 s = self.sessions[i]
                 j = journeys.get(s.customer_id)
@@ -248,7 +212,7 @@ class StepMatrixBuilder:
         return fitted
 
     def matrix(self, step: int, variant: str, fold: dict):
-        """(X, y) of fold's rows at one step; column order matches catalog()."""
+        """(X, y) of fold's rows at one step; column order matches feature_names()."""
         c = self.steps.index(step)
         rows = fold["rows"]
         dyn = self.dyn[rows, c]

@@ -162,26 +162,13 @@ def f1_score(y_true, y_pred) -> tuple[float, float, float]:
     return _f1_from_counts(tp, fp, fn)
 
 
-def _predict_shuffled(model, X: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """predict_proba of X with column j replaced by columns[j, s], for every
-    feature j and shuffle s: one call per feature on its (N_SHUFFLES, n, d)
-    stack. Every model takes leading batch axes and scores each slice
-    bit-equal to a 2-D call. A model may define its own predict_shuffled."""
-    stack = np.repeat(X[None], columns.shape[1], axis=0)
-    out = np.empty(columns.shape)
-    for j in range(columns.shape[0]):
-        stack[:, :, j] = columns[j]
-        out[j] = predict_proba(model, stack)
-        stack[:, :, j] = X[:, j]
-    return out
-
-
 def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -> np.ndarray:
     """Mean F1 drop per shuffled feature, clipped at 0 and normalized.
 
     Permutations are drawn feature by feature, shuffle by shuffle, and the
-    drops are summed in that order. The shuffled copies of X are scored by
-    the model's predict_shuffled, or by one predict_proba call per feature.
+    drops are summed in that order. The model's own predict_shuffled scores
+    the shuffled copies of X, each bit-equal to a predict_proba call; KNN
+    and MLP, the kinds importance() permutes, define one.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -193,8 +180,7 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -
     for j in range(d):
         for s in range(N_SHUFFLES):
             columns[j, s] = X[rng.permutation(n), j]
-    own = getattr(model, "predict_shuffled", None)
-    hit = (own(X, proba, columns) if own else _predict_shuffled(model, X, columns)) >= 0.5
+    hit = model.predict_shuffled(X, proba, columns) >= 0.5
     pos, neg = y == 1, y == 0
     tp = np.count_nonzero(hit & pos, axis=2).tolist()
     fp = np.count_nonzero(hit & neg, axis=2).tolist()

@@ -77,3 +77,15 @@ class MLPClassifier:
         """P(y=1) for each row of X; leading axes are a batch, and each
         stacked product is slice for slice bit-equal to a 2-D call."""
         return self._forward(X, self.w1, self.b1, self.w2, self.b2)[1]
+
+    def predict_shuffled(self, X: np.ndarray, proba: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """P(y=1) of every copy of X whose column j holds columns[j, s]
+        instead: one predict_proba call per feature j on its stack of copies.
+        Every row is scored again, so proba, predict_proba(X), goes unused."""
+        stack = np.repeat(X[None], columns.shape[1], axis=0)
+        out = np.empty(columns.shape)
+        for j in range(columns.shape[0]):
+            stack[:, :, j] = columns[j]
+            out[j] = self.predict_proba(stack)
+            stack[:, :, j] = X[:, j]
+        return out

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-# float64 entries per query-train distance block of one query set
+# float64 entries per query-train distance block
 DISTANCE_BUDGET = 4_000_000
-# float64 entries per block stacked over query sets: 128 KiB, glibc's default
+# float64 entries per block stacked over shuffled copies: 128 KiB, glibc's default
 # mmap threshold. Larger temporaries come back as fresh pages on every call,
 # and their page faults cost more than stacking saves: stacking all five
 # shuffles at 1,200 training and 130 held-out rows took 35k faults per
@@ -66,38 +64,28 @@ class KNNClassifier:
         self.vote_weight_ = np.asarray(sample_weight, dtype=np.float64)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(y=1) for each row of X, whose last axis holds the features; any
-        leading axes are a batch of query sets.
+    def _votes(self, nn: np.ndarray) -> np.ndarray:
+        """Class-weighted positive share of the votes of each row's
+        neighbours nn."""
+        wv = self.vote_weight_[nn]
+        return (wv * self.y_[nn]).sum(axis=1) / wv.sum(axis=1)
 
-        Every (rows, d) slice goes through the same row chunks, so the same
-        GEMM shapes, as a 2-D call, and each stacked product is slice for
-        slice bit-equal to the 2-D one; a product stacks as many slices as
-        fit in STACK_BUDGET.
-        """
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """P(y=1) for each row of X, ranked in row chunks of at most
+        DISTANCE_BUDGET distances."""
         X = np.asarray(X, dtype=np.float64)
         n_train = self.X_.shape[0]
         k = min(self.k, n_train)
         train_sq = np.einsum("ij,ij->i", self.X_, self.X_)
-        n, d = X.shape[-2:]
-        Xs = X.reshape(math.prod(X.shape[:-2]), n, d)
-        out = np.empty(Xs.shape[:2])
-        chunk = max(1, DISTANCE_BUDGET // max(n_train, 1))
-        for start in range(0, n, chunk):
-            rows = min(chunk, n - start)
-            group = max(1, STACK_BUDGET // (rows * max(n_train, 1)))
-            for g in range(0, Xs.shape[0], group):
-                q = Xs[g : g + group, start : start + chunk]
-                # train_sq - 2 q.x, in place; query norms cancel in the ranking
-                d2 = q @ self.X_.T
-                d2 *= -2.0
-                d2 += train_sq
-                nn = _nearest(d2.reshape(-1, n_train), k)
-                wv = self.vote_weight_[nn]
-                yv = self.y_[nn]
-                p = (wv * yv).sum(axis=1) / wv.sum(axis=1)
-                out[g : g + group, start : start + chunk] = p.reshape(q.shape[:2])
-        return out.reshape(X.shape[:-1])
+        out = np.empty(X.shape[0])
+        chunk = max(1, DISTANCE_BUDGET // n_train)
+        for start in range(0, X.shape[0], chunk):
+            # train_sq - 2 q.x, in place; query norms cancel in the ranking
+            d2 = X[start : start + chunk] @ self.X_.T
+            d2 *= -2.0
+            d2 += train_sq
+            out[start : start + chunk] = self._votes(_nearest(d2, k))
+        return out
 
     def predict_shuffled(self, X: np.ndarray, proba: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """P(y=1) of every copy of X whose column j holds columns[j, s]
@@ -131,10 +119,7 @@ class KNNClassifier:
         filled = 0
 
         def flush():
-            nn = _nearest(buf[:filled], k)
-            wv = self.vote_weight_[nn]
-            yv = self.y_[nn]
-            out.flat[at[:filled]] = (wv * yv).sum(axis=1) / wv.sum(axis=1)
+            out.flat[at[:filled]] = self._votes(_nearest(buf[:filled], k))
 
         for j in range(n_feat):
             for start in range(0, n, chunk):

@@ -77,20 +77,18 @@ class _Tree:
         self.importance = importance
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row of X; leading axes of X are a batch."""
-        lead = X.shape[:-1]
-        X = X.reshape(-1, X.shape[-1])
+        """Leaf value per row of X: rows step down a level at a time until
+        none sits at an internal node, however deep the tree."""
         cur = np.zeros(X.shape[0], dtype=np.int32)
-        for _ in range(64):
+        while True:
             feat = self.feature[cur]
             active = feat >= 0
             if not active.any():
-                break
+                return self.value[cur]
             rows = np.nonzero(active)[0]
             f = feat[rows]
             go_left = X[rows, f] <= self.threshold[cur[rows]]
             cur[rows] = np.where(go_left, self.left[cur[rows]], self.right[cur[rows]])
-        return self.value[cur].reshape(lead)
 
 
 def _grow_trees(
@@ -333,7 +331,7 @@ class RandomForestClassifier:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(X.shape[:-1])
+        acc = np.zeros(X.shape[0])
         for tree in self.trees:
             acc += tree.predict(X)
         return acc / len(self.trees)
@@ -402,7 +400,7 @@ class GradientBoostingClassifier:
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        margin = np.full(X.shape[:-1], self.f0)
+        margin = np.full(X.shape[0], self.f0)
         for tree in self.trees:
             margin += self.learning_rate * tree.predict(X)
         return margin

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
-from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, parse_event_line, sessionize
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig
 from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
 from .sessions import compact_json
 
@@ -432,8 +432,8 @@ class _EventLog:
     An event is 26 bytes here (timestamp, session index, kind code, value
     and whether it carries the session's customer id); a value is a query
     number or a price in cents, -1 for none. The session table holds
-    (token, customer_id, device, channel). Iterating yields RawEvents in
-    file order, parsed from lines(), the one formatter of events.tsv.
+    (token, customer_id, device, channel). lines() is the one formatter of
+    events.tsv.
     """
 
     def __init__(self):
@@ -458,9 +458,6 @@ class _EventLog:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __iter__(self):
-        return map(parse_event_line, self.lines())
 
     def sort(self) -> None:
         """Set the file order with one stable sort; token ranks give string
@@ -663,8 +660,3 @@ def generate(cfg: GenConfig, out_dir) -> dict:
         "n_sessions": len(truth),
     }
 
-
-def generate_sessions(cfg: GenConfig):
-    """Generate and sessionize in memory; returns (sessions, truth)."""
-    events, truth = generate_events(cfg)
-    return sessionize(events), truth

@@ -2,10 +2,11 @@
 
 The oracles are deliberately naive and independent of the library's own
 algorithms: dict counting, explicit loops, no shared helpers, so the tests
-compare two separately derived answers. The presets (plant_signal), report
-readers (static_share, spearman_rank_correlation) and the fitted-state
-serializer (fold_artifacts, model_to_json) serve only the tests and the
-acceptance criteria; the pipeline never calls them.
+compare two separately derived answers. The in-memory corpus
+(generate_sessions), presets (plant_signal), report readers (static_share,
+spearman_rank_correlation) and the fitted-state serializer (fold_artifacts,
+model_to_json) serve only the tests and the acceptance criteria; the
+pipeline never calls them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from shopstream import evaluation, markov
-from shopstream.features import catalog
-from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent
+from shopstream.features import DYNAMIC_FEATURES, feature_names
+from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent, parse_event_line, sessionize
 from shopstream.models.mlp import MLPClassifier
 from shopstream.models.trees import _BinnedDesign, _Tree
 from shopstream.sessions import Session
-from shopstream.synthgen import GenConfig, _normalized
+from shopstream.synthgen import GenConfig, _normalized, generate_events
 
 MS = 1000
 MINUTE = 60 * MS
@@ -215,7 +216,7 @@ def brute_force_prf(y_true, y_pred):
 
 
 def reference_row(s, journey, step, setting, variant, ctx):
-    """One session's feature row at one step, in catalog order, derived from
+    """One session's feature row at one step, in column order, derived from
     the events without the library's encoders: page views and their dwells
     by an explicit scan, a two-pass population std, datetime for the CET
     start, and a recount of the journey's sessions that ended before s.
@@ -304,6 +305,20 @@ def sample_chain_sequences(rng, chain_dict, initial, length, count, page_types):
             seq.append(cur)
         out.append(seq)
     return out
+
+
+# --- in-memory corpus ----------------------------------------------------------
+
+def parsed_events(log):
+    """A generated event log's RawEvents in file order, parsed from the
+    lines generate writes to events.tsv."""
+    return map(parse_event_line, log.lines())
+
+
+def generate_sessions(cfg: GenConfig):
+    """Generate and sessionize in memory; returns (sessions, truth)."""
+    log, truth = generate_events(cfg)
+    return sessionize(parsed_events(log)), truth
 
 
 # --- generator presets ---------------------------------------------------------
@@ -411,11 +426,11 @@ def rows_by_key(report) -> dict:
 
 
 def static_mask(setting: str, variant: str) -> np.ndarray:
-    return np.array([f.kind == "static" for f in catalog(setting, variant)])
+    return np.array([name not in DYNAMIC_FEATURES for name in feature_names(setting, variant)])
 
 
 def static_share(report, model: str, setting: str, step: int) -> float:
-    """Summed importance of static catalog features (extended variant)."""
+    """Summed importance of static features (extended variant)."""
     r = rows_by_key(report)[model, setting, "extended", step]
     mask = static_mask(setting, "extended")
     total = float(r.importance.sum())

@@ -19,6 +19,7 @@ from helpers import (
     brute_force_prf,
     brute_force_sessionize,
     fold_artifacts,
+    generate_sessions,
     mk_event,
     mlp_loss_and_grad,
     plant_signal,
@@ -57,7 +58,6 @@ from shopstream.synthgen import (
     PURCHASE_DEVICE_MIX,
     PURCHASE_HOURS,
     generate,
-    generate_sessions,
 )
 
 ZERO_RATES = {d: 0.0 for d in DEVICES}

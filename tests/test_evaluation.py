@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     brute_force_prf,
     fold_artifacts,
+    generate_sessions,
     mk_event,
     mk_session,
     plant_signal,
@@ -297,7 +298,7 @@ def test_fold_artifacts_refuse_an_empty_capture(monkeypatch):
 def test_static_share_stays_high_without_dynamic_signal():
     # control corpus: label lives in channel/weekday only, dynamics are noise
     from shopstream.ingest import DEVICES as ALL_DEVICES
-    from shopstream.synthgen import GenConfig, NONPURCHASE_PAGE_CHAIN, generate_sessions
+    from shopstream.synthgen import GenConfig, NONPURCHASE_PAGE_CHAIN
 
     zero = {d: 0.0 for d in ALL_DEVICES}
     shared = {k: dict(v) for k, v in NONPURCHASE_PAGE_CHAIN.items()}

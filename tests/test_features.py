@@ -4,10 +4,10 @@ import pytest
 from helpers import DAY_MS, MS, fitted_state, mk_event, mk_session, reference_row, static_mask
 from shopstream import markov
 from shopstream.features import (
+    DYNAMIC_FEATURES,
     MissingJourney,
     ShortSession,
     StepMatrixBuilder,
-    catalog,
     device_conversion_feature,
     feature_names,
     fit_feature_context,
@@ -62,8 +62,7 @@ def test_catalog_baseline_and_exclusions():
         assert not any("previous" in n for n in names)
     assert "device_sequence_score" in iden_ext and "switch_probability" in iden_ext
     # dynamic block is exactly the four features plus the count indicator
-    dynamic = [f.name for f in catalog("identified", "extended") if f.kind == "dynamic"]
-    assert dynamic == anon_base
+    assert list(DYNAMIC_FEATURES) == anon_base
 
 
 def test_catalog_widths():

@@ -14,10 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from helpers import fold_artifacts, model_to_json
+from helpers import fold_artifacts, generate_sessions, model_to_json
 from shopstream.evaluation import ProtocolConfig, run_protocol
 from shopstream.models import MODEL_KINDS, TrainConfig, fit, predict_proba
-from shopstream.synthgen import GenConfig, generate_sessions
+from shopstream.synthgen import GenConfig
 
 STEP_REPORT_SHA256 = "6588b48dc701967a812e2df355422e712e0a4eca9e0f2e1c778cd2eeaa5e2e81"
 IMPORTANCE_SHA256 = "2ac7f7342700ea611df04cfe3f811a0f04c7877951c336f15ed61546d9d4d430"

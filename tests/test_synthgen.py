@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import DEVICE_TRANSITIONS_EXAMPLE, event_to_tsv, plant_signal, sample_chain_sequences
+from helpers import (
+    DEVICE_TRANSITIONS_EXAMPLE,
+    event_to_tsv,
+    generate_sessions,
+    parsed_events,
+    plant_signal,
+    sample_chain_sequences,
+)
 from shopstream import markov
 from shopstream.analytics import transition_matrix
 from shopstream.ingest import DEVICES, PAGE_TYPES, parse_event_line, sessionize
@@ -22,7 +29,6 @@ from shopstream.synthgen import (
     _compile_samplers,
     generate,
     generate_events,
-    generate_sessions,
 )
 
 
@@ -78,7 +84,7 @@ def test_sampler_top_draw_picks_last_key():
 
 def test_events_sorted_by_timestamp_then_token():
     events, _ = generate_events(GenConfig(seed=5, n_customers=80))
-    keys = [(e.timestamp, e.client_token) for e in events]
+    keys = [(e.timestamp, e.client_token) for e in parsed_events(events)]
     assert keys == sorted(keys)
 
 
@@ -95,7 +101,7 @@ def test_event_log_order_is_timestamp_then_token_string():
     log.sort()
     want = sorted(range(len(events)), key=lambda i: (events[i][0], tokens[events[i][1]]))
     assert log.order.tolist() == want
-    assert [(e.timestamp, e.client_token) for e in log] == [
+    assert [(e.timestamp, e.client_token) for e in parsed_events(log)] == [
         (events[i][0], tokens[events[i][1]]) for i in want
     ]
 
@@ -220,7 +226,7 @@ def test_plant_signal_bad_args():
 def test_round_trip_small():
     cfg = GenConfig(seed=7, n_customers=150)
     events, truth = generate_events(cfg)
-    sessions = sessionize(events)
+    sessions = sessionize(parsed_events(events))
     assert len(sessions) == len(truth)
     by_key = {(t["client_token"], t["start_ms"]): t for t in truth}
     for s in sessions:
@@ -234,7 +240,7 @@ def test_round_trip_small():
 def test_intra_and_inter_session_gaps():
     cfg = GenConfig(seed=8, n_customers=80)
     events, truth = generate_events(cfg)
-    sessions = sessionize(events)
+    sessions = sessionize(parsed_events(events))
     idle = 30 * 60 * 1000
     for s in sessions:
         ts = [e.timestamp for e in s.events]
@@ -251,7 +257,7 @@ def test_intra_and_inter_session_gaps():
 def test_event_invariants():
     cfg = GenConfig(seed=9, n_customers=60)
     events, _ = generate_events(cfg)
-    for e in events:
+    for e in parsed_events(events):
         if e.action == "Query":
             assert e.query_text
         if e.action == "PageView" and e.page_type == "product":
