@@ -275,7 +275,6 @@ def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
                     customer_id=customer,
                     device=run[0].device,
                     channel=run[0].channel,
-                    start_time=run[0].timestamp,
                     events=tuple(run),
                     purchase=any(e.action == "Purchase" for e in run),
                     country=run[0].country,

@@ -15,7 +15,7 @@ from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEv
 _CANONICAL = {name: name for name in (*ACTIONS, *PAGE_TYPES)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """An idle-bounded sequence of one client's events.
 
@@ -28,7 +28,6 @@ class Session:
     customer_id: Optional[str]
     device: str
     channel: str
-    start_time: int  # ms since epoch, UTC
     events: tuple
     purchase: bool
     country: str = ""
@@ -37,6 +36,11 @@ class Session:
     def length(self) -> int:
         """Session length: number of actions."""
         return len(self.events)
+
+    @property
+    def start_time(self) -> int:
+        """First event's timestamp, ms since epoch, UTC."""
+        return self.events[0].timestamp
 
     @property
     def end_time(self) -> int:
@@ -215,7 +219,6 @@ def session_from_json(line: str) -> Session:
         customer_id=customer,
         device=device,
         channel=channel,
-        start_time=rec["start_ms"],
         events=events,
         purchase=rec["purchase"],
         country=country,

@@ -419,6 +419,9 @@ _KIND_TEXT = (
     ("Purchase\tcheckout\t\t", f"\t{COUNTRY}\n"),
 )
 _WRITE_CHUNK = 4096  # events formatted per batch
+# one session-table row; truth.jsonl writes each row under these keys
+TRUTH_FIELDS = ("client_token", "customer_id", "device", "channel", "purchase",
+                "start_ms", "end_ms", "n_events", "seed_session")
 
 
 def _column(col: array) -> np.ndarray:
@@ -431,9 +434,10 @@ class _EventLog:
 
     An event is 26 bytes here (timestamp, session index, kind code, value
     and whether it carries the session's customer id); a value is a query
-    number or a price in cents, -1 for none. The session table holds
-    (token, customer_id, device, channel). lines() is the one formatter of
-    events.tsv.
+    number or a price in cents, -1 for none. The session table holds one
+    row per session in TRUTH_FIELDS order, and an event's session is its
+    row's index. lines() is the one formatter of events.tsv, truth_lines()
+    of truth.jsonl.
     """
 
     def __init__(self):
@@ -444,10 +448,6 @@ class _EventLog:
         self.identified = array("B")
         self.sessions = []
         self.order = None  # set by sort()
-
-    def add_session(self, token: str, customer_id: str | None, device: str, channel: str) -> int:
-        self.sessions.append((token, customer_id, device, channel))
-        return len(self.sessions) - 1
 
     def append(self, ts: int, session: int, kind: int, value: int, identified: bool) -> None:
         self.ts.append(ts)
@@ -470,7 +470,7 @@ class _EventLog:
     def lines(self):
         """Each event's TSV line, newline included, in file order."""
         heads = []  # per session: anonymous head, then identified head
-        for token, customer_id, device, channel in self.sessions:
+        for token, customer_id, device, channel, *_ in self.sessions:
             anonymous = f"{token}\t\t{device}\t{channel}\t"
             heads += (anonymous, f"{token}\t{customer_id}\t{device}\t{channel}\t" if customer_id else anonymous)
         ts, session, kind, value, identified = map(
@@ -485,13 +485,19 @@ class _EventLog:
                 pre, post = _KIND_TEXT[k]
                 yield f"{t}\t{heads[h]}{pre}{'' if v < 0 else v}{post}"
 
+    def truth_lines(self):
+        """Each session's truth.jsonl line, newline included, in generation
+        order."""
+        for row in self.sessions:
+            yield compact_json(dict(zip(TRUTH_FIELDS, row))) + "\n"
+
 
 def _build_session_events(
     rng, cfg: GenConfig, samplers, log: _EventLog, session: int,
     purchase: bool, device: str, start_ms: int, is_seed: bool, identified: bool,
 ):
-    """Append one session's events to log; returns the first and last
-    event's timestamps and the event count."""
+    """Append one session's events to log, the first at start_ms; returns
+    the last event's timestamp and the event count."""
     if is_seed:
         length = int(rng.integers(4, 9))
     else:
@@ -541,7 +547,7 @@ def _build_session_events(
         ts += _dwell_ms(rng, mu, cfg.dwell_sigma)
         append(ts, session, _PURCHASE, int(rng.integers(500, 250_000)), identified and core + 1 >= late_from)
         last = ts
-    return start_ms, last, core + reserved
+    return last, core + reserved
 
 
 def _compile_samplers(cfg: GenConfig) -> dict:
@@ -565,9 +571,9 @@ def _compile_samplers(cfg: GenConfig) -> dict:
     }
 
 
-def generate_events(cfg: GenConfig):
-    """All events as an _EventLog (iterates globally time-sorted RawEvents)
-    plus the per-session truth sidecar."""
+def generate_events(cfg: GenConfig) -> _EventLog:
+    """Generate every session and its events into one _EventLog, sorted
+    into file order and ready for its lines() and truth_lines()."""
     cfg.validate()
     samplers = _compile_samplers(cfg)
 
@@ -582,7 +588,6 @@ def generate_events(cfg: GenConfig):
     device_index = {d: i for i, d in enumerate(DEVICES)}
 
     log = _EventLog()
-    truth = []
     for plan in plans:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(plan.index, 1)))
         n = len(plan.labels)
@@ -619,44 +624,32 @@ def generate_events(cfg: GenConfig):
             hour = int((samplers["hour_p"] if purchase else samplers["hour_n"]).draw(rng))
             start_ms = _start_time(rng, prev_end, weekday, hour)
             token = f"c{plan.index}d{device_index[device]}"
-            session = log.add_session(token, None if anonymous else customer_id, device, channel)
-            first_ms, prev_end, n_events = _build_session_events(
-                rng, cfg, samplers, log, session, purchase, device, start_ms, is_seed, not anonymous,
+            prev_end, n_events = _build_session_events(
+                rng, cfg, samplers, log, len(log.sessions), purchase, device, start_ms, is_seed, not anonymous,
             )
-            truth.append(
-                {
-                    "client_token": token,
-                    "customer_id": None if anonymous else customer_id,
-                    "device": device,
-                    "channel": channel,
-                    "purchase": purchase,
-                    "start_ms": first_ms,
-                    "end_ms": prev_end,
-                    "n_events": n_events,
-                    "seed_session": is_seed,
-                }
-            )
+            log.sessions.append((
+                token, None if anonymous else customer_id, device, channel,
+                purchase, start_ms, prev_end, n_events, is_seed,
+            ))
 
     log.sort()
-    return log, truth
+    return log
 
 
 def generate(cfg: GenConfig, out_dir) -> dict:
     """Write events.tsv + truth.jsonl; byte-identical for identical (cfg, seed)."""
-    log, truth = generate_events(cfg)
+    log = generate_events(cfg)
     os.makedirs(out_dir, exist_ok=True)
     events_path = os.path.join(out_dir, "events.tsv")
     truth_path = os.path.join(out_dir, "truth.jsonl")
     with open(events_path, "w", encoding="utf-8") as fh:
         fh.writelines(log.lines())
     with open(truth_path, "w", encoding="utf-8") as fh:
-        for rec in truth:
-            fh.write(compact_json(rec))
-            fh.write("\n")
+        fh.writelines(log.truth_lines())
     return {
         "events_path": events_path,
         "truth_path": truth_path,
         "n_events": len(log),
-        "n_sessions": len(truth),
+        "n_sessions": len(log.sessions),
     }
 

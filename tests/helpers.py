@@ -24,7 +24,7 @@ from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, RawEvent, parse_eve
 from shopstream.models.mlp import MLPClassifier
 from shopstream.models.trees import _BinnedDesign, _Tree
 from shopstream.sessions import Session
-from shopstream.synthgen import GenConfig, _normalized, generate_events
+from shopstream.synthgen import TRUTH_FIELDS, GenConfig, _normalized, generate_events
 
 MS = 1000
 MINUTE = 60 * MS
@@ -92,7 +92,6 @@ def mk_session(
         customer_id=customer,
         device=device or events[0].device,
         channel=channel or events[0].channel,
-        start_time=events[0].timestamp,
         events=events,
         purchase=any(e.action == "Purchase" for e in events) if purchase is None else purchase,
         country=events[0].country,
@@ -316,9 +315,10 @@ def parsed_events(log):
 
 
 def generate_sessions(cfg: GenConfig):
-    """Generate and sessionize in memory; returns (sessions, truth)."""
-    log, truth = generate_events(cfg)
-    return sessionize(parsed_events(log)), truth
+    """Generate and sessionize in memory; returns (sessions, truth), truth
+    as the dicts truth.jsonl holds."""
+    log = generate_events(cfg)
+    return sessionize(parsed_events(log)), [dict(zip(TRUTH_FIELDS, row)) for row in log.sessions]
 
 
 # --- generator presets ---------------------------------------------------------

@@ -200,7 +200,7 @@ def test_c06_leakage_freedom():
             mutated.append(type(s)(
                 session_id=s.session_id, client_token=s.client_token,
                 customer_id=s.customer_id, device=s.device, channel=s.channel,
-                start_time=events[0].timestamp, events=events, purchase=s.purchase,
+                events=events, purchase=s.purchase,
             ))
         else:
             mutated.append(s)

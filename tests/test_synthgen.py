@@ -16,7 +16,7 @@ from helpers import (
 )
 from shopstream import markov
 from shopstream.analytics import transition_matrix
-from shopstream.ingest import DEVICES, PAGE_TYPES, parse_event_line, sessionize
+from shopstream.ingest import DEVICES, PAGE_TYPES, parse_event_line
 from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.synthgen import (
     GenConfig,
@@ -83,8 +83,8 @@ def test_sampler_top_draw_picks_last_key():
 
 
 def test_events_sorted_by_timestamp_then_token():
-    events, _ = generate_events(GenConfig(seed=5, n_customers=80))
-    keys = [(e.timestamp, e.client_token) for e in parsed_events(events)]
+    log = generate_events(GenConfig(seed=5, n_customers=80))
+    keys = [(e.timestamp, e.client_token) for e in parsed_events(log)]
     assert keys == sorted(keys)
 
 
@@ -94,10 +94,10 @@ def test_event_log_order_is_timestamp_then_token_string():
     before "c2d0", and ties on both keep generation order."""
     log = _EventLog()
     tokens = ["c2d0", "c10d0", "c2d1", "c10d0"]
-    sessions = [log.add_session(t, None, "PC", "Direct") for t in tokens]
+    log.sessions = [(t, None, "PC", "Direct", False, 0, 0, 0, False) for t in tokens]
     events = [(500, 0), (500, 1), (500, 2), (100, 2), (500, 3), (100, 0), (300, 1), (100, 1), (300, 3)]
     for ts, s in events:
-        log.append(ts, sessions[s], 0, -1, False)
+        log.append(ts, s, 0, -1, False)
     log.sort()
     want = sorted(range(len(events)), key=lambda i: (events[i][0], tokens[events[i][1]]))
     assert log.order.tolist() == want
@@ -124,7 +124,7 @@ def test_generate_peak_memory_per_event(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / res["n_events"] < 200
+    assert peak / res["n_events"] < 145
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -225,8 +225,7 @@ def test_plant_signal_bad_args():
 
 def test_round_trip_small():
     cfg = GenConfig(seed=7, n_customers=150)
-    events, truth = generate_events(cfg)
-    sessions = sessionize(parsed_events(events))
+    sessions, truth = generate_sessions(cfg)
     assert len(sessions) == len(truth)
     by_key = {(t["client_token"], t["start_ms"]): t for t in truth}
     for s in sessions:
@@ -239,8 +238,7 @@ def test_round_trip_small():
 
 def test_intra_and_inter_session_gaps():
     cfg = GenConfig(seed=8, n_customers=80)
-    events, truth = generate_events(cfg)
-    sessions = sessionize(parsed_events(events))
+    sessions, _ = generate_sessions(cfg)
     idle = 30 * 60 * 1000
     for s in sessions:
         ts = [e.timestamp for e in s.events]
@@ -256,8 +254,8 @@ def test_intra_and_inter_session_gaps():
 
 def test_event_invariants():
     cfg = GenConfig(seed=9, n_customers=60)
-    events, _ = generate_events(cfg)
-    for e in parsed_events(events):
+    log = generate_events(cfg)
+    for e in parsed_events(log):
         if e.action == "Query":
             assert e.query_text
         if e.action == "PageView" and e.page_type == "product":
