@@ -132,12 +132,12 @@ def device_ownership(journeys) -> dict:
 
     A purchaser is a customer with at least one purchase session among their
     identified sessions. Buckets are 1, 2, 3 and 4+ devices; multi_share is
-    the fraction owning more than one.
+    the fraction owning more than one. journeys is build_journeys' mapping.
     """
     groups = {"purchasers": [], "non_purchasers": []}
-    for j in journeys.values() if isinstance(journeys, dict) else journeys:
-        n_devices = len({s.device for s in j.sessions})
-        if any(s.purchase for s in j.sessions):
+    for journey in journeys.values():
+        n_devices = len({s.device for s in journey})
+        if any(s.purchase for s in journey):
             groups["purchasers"].append(n_devices)
         else:
             groups["non_purchasers"].append(n_devices)
@@ -169,16 +169,17 @@ def pair_counts(sequences) -> Counter:
 def transition_matrix(journeys, devices) -> tuple[list, list]:
     """Empirical device-to-device transition probabilities between sessions.
 
-    Counts consecutive session pairs whose second session is a purchase
-    session. Returns (matrix, support): matrix[i][k] is the share of the
-    pairs leaving device i that arrive at device k, NaN in a row without
-    support rather than uniform, and support[i] is the number of pairs
-    leaving device i. Each share is one correctly rounded int/int division.
+    Counts consecutive session pairs of each journey in build_journeys'
+    mapping whose second session is a purchase session. Returns (matrix,
+    support): matrix[i][k] is the share of the pairs leaving device i that
+    arrive at device k, NaN in a row without support rather than uniform,
+    and support[i] is the number of pairs leaving device i. Each share is
+    one correctly rounded int/int division.
     """
     dev_index = {d: i for i, d in enumerate(devices)}
     n = len(devices)
     counts = [[0] * n for _ in range(n)]
-    pairs = pair_counts([(s.device, s.purchase) for s in j.sessions] for j in journeys)
+    pairs = pair_counts([(s.device, s.purchase) for s in j] for j in journeys.values())
     for ((prev, _), (nxt, purchase)), c in pairs.items():
         if purchase:
             counts[dev_index[prev]][dev_index[nxt]] += c

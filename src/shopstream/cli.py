@@ -273,7 +273,7 @@ def cmd_analyze(args) -> int:
         rows.append((group, ">1", _fmt_pct(stats["multi_share"])))
     _write_csv(out("ownership.csv"), "group,devices,percent", rows)
 
-    matrix, support = transition_matrix(journeys.values(), DEVICES)
+    matrix, support = transition_matrix(journeys, DEVICES)
     rows = []
     for i, src in enumerate(DEVICES):
         for j, dst in enumerate(DEVICES):

@@ -177,13 +177,13 @@ def _folds(sessions, setting: str, cfg: ProtocolConfig):
     return pool, kfold_split([s.session_id for s in pool], labels, cfg.folds, cfg.seed)
 
 
-def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
-              cfg: ProtocolConfig):
+def _run_fold(journeys, builder, fold_ids, fold_index, cfg: ProtocolConfig):
     """Fit context + models on the builder's sessions outside fold_ids,
     evaluate inside.
 
-    full_journeys are the journeys of all_sessions; held-out rows read their
-    history from them, as at prediction time. Returns
+    journeys is the run's build_journeys table. Held-out rows read their
+    history from it, as at prediction time; training reads its lists with
+    the fold's sessions filtered out, which keeps their order. Returns
     {(kind, variant, step): (precision, recall, f1, importance) or an error
     string}.
     """
@@ -192,12 +192,11 @@ def _run_fold(all_sessions, full_journeys, builder, fold_ids, fold_index,
     train_rows, eval_rows = np.flatnonzero(~held), np.flatnonzero(held)
     # journeys may draw on sessions below the page filter (they are history,
     # not protocol rows) but never on held-out sessions
-    train_journeys = build_journeys(
-        s for s in all_sessions if s.session_id not in eval_set
-    )
+    train_journeys = {customer: [s for s in journey if s.session_id not in eval_set]
+                      for customer, journey in journeys.items()}
     ctx = fit_feature_context([builder.sessions[i] for i in train_rows], train_journeys)
     train = builder.fold(train_rows, train_journeys, ctx)
-    held_out = builder.fold(eval_rows, full_journeys, ctx)
+    held_out = builder.fold(eval_rows, journeys, ctx)
 
     cells = {}
     for step in cfg.steps:
@@ -226,7 +225,7 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
     are NaN and its importance zero.
     """
     sessions = list(sessions)
-    full_journeys = build_journeys(sessions)
+    journeys = build_journeys(sessions)
     rows = []
     names = {}
     nan = float("nan")
@@ -234,7 +233,7 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
         pool, folds = _folds(sessions, setting, cfg)
         builder = StepMatrixBuilder(pool, setting, cfg.steps)
         fold_cells = [
-            _run_fold(sessions, full_journeys, builder, fold_ids, fold_index, cfg)
+            _run_fold(journeys, builder, fold_ids, fold_index, cfg)
             for fold_index, fold_ids in enumerate(folds)
         ]
         for variant in cfg.variants:

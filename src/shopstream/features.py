@@ -21,7 +21,7 @@ import numpy as np
 from . import markov
 from .analytics import conversion_rates, session_start_cet
 from .ingest import CHANNELS, DEVICES, PAGE_TYPES
-from .sessions import Journey, Session, dwell_times, history_snapshot
+from .sessions import Session, dwell_times, history_snapshot
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -121,9 +121,9 @@ def _session_columns(s: Session) -> list[float]:
     )
 
 
-def _history_columns(s: Session, j: Journey, ctx: FeatureContext) -> list[float]:
-    """The history block in HISTORY_FEATURES order, from j's sessions before s."""
-    hist = history_snapshot(j, s.start_time)
+def _history_columns(s: Session, journey: list[Session], ctx: FeatureContext) -> list[float]:
+    """The history block in HISTORY_FEATURES order, from journey's sessions before s."""
+    hist = history_snapshot(journey, s.start_time)
     device_score = markov.class_score(
         ctx.device_chain_purchase,
         ctx.device_chain_nonpurchase,

@@ -107,14 +107,16 @@ def _grow_trees(
     """Grow a group of trees level-wise, together; returns the trees and
     each training row's node id (the tree's own id in a group of one).
 
-    rows[t] holds tree t's training rows in ascending order (None: one tree
-    on every row); weights holds their weights, tree after tree. criterion
+    rows and rngs come together or not at all. A forest group passes both:
+    rows[t] holds tree t's training rows in ascending order, and rngs[t]
+    draws tree t's keys for max_features of its features per node, one
+    block per level at which it still has nodes. A boosting round passes
+    neither: one tree on every row, and every node may split on every
+    feature. weights holds the rows' weights, tree after tree. criterion
     "gini" treats response as 0/1 labels and stores the weighted positive
     fraction in leaves; "mse" fits weighted means of the response. Gains are
     weighted impurity decreases, accumulated per feature in node order as
-    each tree's importance vector. With rngs, rngs[t] draws tree t's keys
-    for max_features of its features per node, one block per level at which
-    it still has nodes; without, every node may split on every feature.
+    each tree's importance vector.
 
     Each level's nodes, tree after tree, are numbered consecutively after
     the previous level's, so the active nodes are the id range [lo, hi) and
@@ -131,7 +133,6 @@ def _grow_trees(
         n_trees = len(rows)
         all_rows = np.concatenate(rows)  # row positions below index all_rows
         codes, r, w = design.codes[all_rows], response[all_rows], weights
-        feature_keys = None if rngs else design.feature_keys[all_rows]
         node_of_row = np.repeat(np.arange(n_trees), [t.size for t in rows])
     bins = design.bins
     n_feat = design.n_features

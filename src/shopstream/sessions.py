@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import NoneType
 from typing import NamedTuple, Optional
 
@@ -69,24 +69,16 @@ class HistorySummary(NamedTuple):
     switch_probability: float
 
 
-@dataclass
-class Journey:
-    """Time-ordered sessions of one identified customer."""
-
-    customer_id: str
-    sessions: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.sessions = sorted(self.sessions, key=lambda s: (s.start_time, s.session_id))
-
-
-def build_journeys(sessions) -> dict[str, Journey]:
-    """Group identified sessions into journeys keyed by customer_id."""
+def build_journeys(sessions) -> dict[str, list[Session]]:
+    """Each identified customer's journey, keyed by customer_id: a list of
+    the customer's sessions in (start_time, session_id) order."""
     by_customer: dict[str, list] = {}
     for s in sessions:
         if s.customer_id is not None:
             by_customer.setdefault(s.customer_id, []).append(s)
-    return {cid: Journey(cid, sess) for cid, sess in by_customer.items()}
+    for journey in by_customer.values():
+        journey.sort(key=lambda s: (s.start_time, s.session_id))
+    return by_customer
 
 
 def dwell_times(s: Session) -> list[float]:
@@ -109,16 +101,15 @@ def _switch_probability(devices) -> float:
     return switches / (len(devices) - 1) if len(devices) > 1 else 0.0
 
 
-def history_snapshot(j: Optional[Journey], at: int) -> HistorySummary:
-    """Summarize a customer's sessions that ended strictly before `at`.
+def history_snapshot(journey: Optional[list[Session]], at: int) -> HistorySummary:
+    """Summarize a journey's sessions that ended strictly before `at`.
 
+    journey is one customer's sessions in build_journeys' order.
     days_since_last_purchase is fractional, measured from the most recent
     purchase session's end; -1.0 when the customer has no prior purchase.
-    A missing journey yields the empty-history summary.
+    A missing journey (None) yields the empty-history summary.
     """
-    if j is None:
-        return HistorySummary(0, -1.0, 0, 0, [], 0.0)
-    prior = [s for s in j.sessions if s.end_time < at]
+    prior = [s for s in journey or () if s.end_time < at]
     purchase_ends = [s.end_time for s in prior if s.purchase]
     days = -1.0 if not purchase_ends else (at - max(purchase_ends)) / MS_PER_DAY
     devices = [s.device for s in prior]

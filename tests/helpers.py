@@ -242,7 +242,7 @@ def reference_row(s, journey, step, setting, variant, ctx):
         row.append(ctx.device_conversion.get(s.device, ctx.global_conversion))
     if setting == "identified":
         prior = sorted(
-            (p for p in journey.sessions if p.events[-1].timestamp < s.start_time),
+            (p for p in journey if p.events[-1].timestamp < s.start_time),
             key=lambda p: (p.start_time, p.session_id),
         )
         orders = 0
@@ -730,7 +730,7 @@ def fold_artifacts(sessions, cfg, setting: str = "anonymous", fold_index: int = 
     evaluation.Scaler.fit = staticmethod(_capturing(evaluation.Scaler.fit, scalers))
     evaluation.fit_model = _capturing(evaluation.fit_model, models)
     try:
-        evaluation._run_fold(sessions, evaluation.build_journeys(sessions), builder,
+        evaluation._run_fold(evaluation.build_journeys(sessions), builder,
                              folds[fold_index], fold_index, cfg)
     finally:
         evaluation.fit_feature_context, evaluation.Scaler.fit, evaluation.fit_model = saved

@@ -15,7 +15,7 @@ from shopstream.analytics import (
     temporal_profile,
     transition_matrix,
 )
-from shopstream.sessions import Journey, build_journeys
+from shopstream.sessions import build_journeys
 
 MS = 1000
 HOUR_MS = 3_600_000
@@ -257,14 +257,14 @@ def _mini_journey(customer, devices, purchase_mask):
                      page="checkout" if buy else "home"),
         ]
         sessions.append(mk_session(events, session_id=f"{customer}:{i}", customer=customer))
-    return Journey(customer, sessions)
+    return sessions
 
 
 def test_transition_matrix_degenerate_support():
-    journeys = [
-        _mini_journey("u1", ["TV", "PC"], [False, True]),
-        _mini_journey("u2", ["TV", "PC"], [False, True]),
-    ]
+    journeys = {
+        "u1": _mini_journey("u1", ["TV", "PC"], [False, True]),
+        "u2": _mini_journey("u2", ["TV", "PC"], [False, True]),
+    }
     matrix, support = transition_matrix(journeys, ["PC", "Smartphone", "Tablet", "GameConsole", "TV"])
     tv, pc = 4, 0
     assert matrix[tv][pc] == 1.0
@@ -276,16 +276,16 @@ def test_transition_matrix_degenerate_support():
 def test_transition_matrix_matches_brute_force():
     rng = np.random.default_rng(31)
     devices = ["PC", "Smartphone", "Tablet"]
-    journeys = []
+    journeys = {}
     for c in range(40):
         n = int(rng.integers(2, 8))
         devs = [devices[int(i)] for i in rng.integers(0, 3, size=n)]
         buys = [bool(rng.random() < 0.4) for _ in range(n)]
-        journeys.append(_mini_journey(f"u{c}", devs, buys))
+        journeys[f"u{c}"] = _mini_journey(f"u{c}", devs, buys)
     matrix, support = transition_matrix(journeys, devices)
     counts = {(a, b): 0 for a in devices for b in devices}
-    for j in journeys:
-        for prev, nxt in zip(j.sessions, j.sessions[1:]):
+    for j in journeys.values():
+        for prev, nxt in zip(j, j[1:]):
             if nxt.purchase:
                 counts[(prev.device, nxt.device)] += 1
     for i, a in enumerate(devices):

@@ -173,6 +173,45 @@ def test_one_step_matrix_builder_per_setting(monkeypatch):
     assert built[2:] == ["identified"]
 
 
+def test_journeys_built_once_and_filtered_per_fold(monkeypatch):
+    from shopstream import evaluation
+    from shopstream.sessions import build_journeys
+
+    calls, tables = [], []
+    real_build, real_fit = evaluation.build_journeys, evaluation.fit_feature_context
+
+    def counting_build(sessions):
+        calls.append(1)
+        return real_build(sessions)
+
+    def capturing_fit(train_sessions, train_journeys):
+        tables.append(train_journeys)
+        return real_fit(train_sessions, train_journeys)
+
+    monkeypatch.setattr(evaluation, "build_journeys", counting_build)
+    monkeypatch.setattr(evaluation, "fit_feature_context", capturing_fit)
+    # sessions below the page filter are history only, never protocol rows
+    short = [
+        mk_session(s.events, session_id=f"short{i}", customer=s.customer_id)
+        for i, s in enumerate(_corpus(np.random.default_rng(51), n_sessions=12, n_pages=2))
+    ]
+    sessions = _corpus(np.random.default_rng(50), n_sessions=36) + short
+    cfg = ProtocolConfig(steps=(0, 2), folds=3, models=("lr",), seed=5, train=_small_train())
+    run_protocol(sessions, cfg)
+
+    assert len(calls) == 1
+    # one fitted context per (setting, fold), in run order
+    folds = [set(ids) for setting in cfg.settings
+             for ids in evaluation._folds(sessions, setting, cfg)[1]]
+    assert len(tables) == len(folds) == 2 * cfg.folds
+    for table, held in zip(tables, folds):
+        want = build_journeys(s for s in sessions if s.session_id not in held)
+        got = {customer: journey for customer, journey in table.items() if journey}
+        assert got.keys() == want.keys()
+        for customer, journey in want.items():
+            assert [s.session_id for s in got[customer]] == [s.session_id for s in journey]
+
+
 def test_run_protocol_learns_planted_channel_signal():
     rng = np.random.default_rng(41)
     sessions = _corpus(rng, n_sessions=120, signal="channel")

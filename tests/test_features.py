@@ -12,7 +12,7 @@ from shopstream.features import (
     feature_names,
     fit_feature_context,
 )
-from shopstream.sessions import Journey, build_journeys, history_snapshot
+from shopstream.sessions import build_journeys, history_snapshot
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES
 
 HOUR_MS = 3_600_000
@@ -116,7 +116,7 @@ def test_extract_identified_matches_recount(ctx):
     ]
     current = _session([0, 10, 25, 60], customer=customer, device="PC", sid="cur",
                        start_offset=10 * DAY_MS)
-    journey = Journey(customer, older + [current])
+    journey = build_journeys(older + [current])[customer]
     vec = _encode([current], 2, "identified", "extended", ctx, {customer: journey})[0]
     row = dict(zip(feature_names("identified", "extended"), vec))
     hist = history_snapshot(journey, current.start_time)

@@ -5,7 +5,6 @@ from helpers import MS, mk_event, mk_session, pageview_session
 from shopstream.features import StepMatrixBuilder, feature_names, fit_feature_context
 from shopstream.ingest import ACTIONS, PAGE_TYPES
 from shopstream.sessions import (
-    Journey,
     build_journeys,
     dwell_times,
     history_snapshot,
@@ -112,12 +111,12 @@ def _journey(devices, customer="u1", purchases=(), day_starts=None):
                 customer=customer,
             )
         )
-    return Journey(customer, sessions)
+    return sessions
 
 
 def _switch_probability(j):
     """The journey's device switch probability after its last session."""
-    return history_snapshot(j, j.sessions[-1].end_time + 1).switch_probability
+    return history_snapshot(j, j[-1].end_time + 1).switch_probability
 
 
 def test_device_switches_counts_pairs():
@@ -172,7 +171,7 @@ def test_history_snapshot_strictly_before():
     hist = history_snapshot(j, 1 * DAY_MS)
     assert hist.n_sessions == 1 and hist.orders == 0
     # appending later sessions must not change the snapshot (no leakage)
-    extended = Journey(j.customer_id, j.sessions + _journey(["TV"], day_starts=[100]).sessions)
+    extended = j + _journey(["TV"], day_starts=[100])
     assert history_snapshot(extended, 1 * DAY_MS) == hist
 
 
@@ -188,7 +187,7 @@ def test_history_snapshot_matches_recount():
     j = _journey(devices, purchases=purchases, day_starts=list(range(20)))
     at = 10 * DAY_MS + 30 * MS  # mid-window cut
     hist = history_snapshot(j, at)
-    prior = [s for s in j.sessions if s.events[-1].timestamp < at]
+    prior = [s for s in j if s.events[-1].timestamp < at]
     assert hist.n_sessions == len(prior)
     assert hist.orders == sum(1 for s in prior if s.purchase)
     assert hist.n_devices == len({s.device for s in prior})
@@ -205,7 +204,7 @@ def test_journey_gaps_and_build():
     journeys = build_journeys([s2, s1, s3, anon])
     assert set(journeys) == {"u1", "u2"}
     j = journeys["u1"]
-    assert [s.session_id for s in j.sessions] == ["a", "b"]
+    assert [s.session_id for s in j] == ["a", "b"]
 
 
 def test_session_json_round_trip(tmp_path):

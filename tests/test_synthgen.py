@@ -203,8 +203,8 @@ def test_plant_signal_history_dominance():
     journeys = build_journeys(sessions)
     purchaser_orders, non_orders = [], []
     for j in journeys.values():
-        purchaser = any(s.purchase for s in j.sessions)
-        for s in j.sessions:
+        purchaser = any(s.purchase for s in j)
+        for s in j:
             orders = history_snapshot(j, s.start_time).orders
             (purchaser_orders if purchaser else non_orders).append(orders)
     # stochastic dominance: purchaser CDF never above non-purchaser CDF
@@ -327,7 +327,7 @@ def test_transitions_planting_matches_configured_rate():
                     device_transitions={k: dict(v) for k, v in DEVICE_TRANSITIONS_EXAMPLE.items()})
     sessions, _ = generate_sessions(cfg)
     journeys = build_journeys(sessions)
-    matrix, support = transition_matrix(journeys.values(), DEVICES)
+    matrix, support = transition_matrix(journeys, DEVICES)
     tv, pc = DEVICES.index("TV"), DEVICES.index("PC")
     assert sum(support) >= 50_000
     assert matrix[tv][pc] == pytest.approx(0.4375, abs=0.02)
