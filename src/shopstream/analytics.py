@@ -166,18 +166,18 @@ def pair_counts(sequences) -> Counter:
     return Counter(chain.from_iterable(zip(seq, seq[1:]) for seq in sequences))
 
 
-def transition_matrix(journeys, devices) -> tuple[list, list]:
+def transition_matrix(journeys) -> tuple[list, list]:
     """Empirical device-to-device transition probabilities between sessions.
 
     Counts consecutive session pairs of each journey in build_journeys'
     mapping whose second session is a purchase session. Returns (matrix,
-    support): matrix[i][k] is the share of the pairs leaving device i that
-    arrive at device k, NaN in a row without support rather than uniform,
-    and support[i] is the number of pairs leaving device i. Each share is
-    one correctly rounded int/int division.
+    support), indexed in DEVICES order: matrix[i][k] is the share of the
+    pairs leaving device i that arrive at device k, NaN in a row without
+    support rather than uniform, and support[i] is the number of pairs
+    leaving device i. Each share is one correctly rounded int/int division.
     """
-    dev_index = {d: i for i, d in enumerate(devices)}
-    n = len(devices)
+    dev_index = {d: i for i, d in enumerate(DEVICES)}
+    n = len(DEVICES)
     counts = [[0] * n for _ in range(n)]
     pairs = pair_counts([(s.device, s.purchase) for s in j] for j in journeys.values())
     for ((prev, _), (nxt, purchase)), c in pairs.items():

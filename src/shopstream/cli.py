@@ -49,7 +49,6 @@ from .ingest import (
     not_utf8,
     read_events,
     sessionize,
-    split_by_identity,
 )
 from .sessions import build_journeys, read_sessions, write_sessions
 
@@ -187,7 +186,8 @@ def cmd_ingest(args) -> int:
     kept, dropped = filter_events(read_events(args.input), cfg)
     events_read = len(kept) + dropped
     sessions = sessionize(kept)
-    anonymous, identified = split_by_identity(sessions)
+    identified = sum(1 for s in sessions if s.customer_id is not None)
+    anonymous = len(sessions) - identified
     os.makedirs(args.out, exist_ok=True)
     sessions_path = os.path.join(args.out, "sessions.jsonl")
     write_sessions(sessions_path, sessions)
@@ -200,15 +200,15 @@ def cmd_ingest(args) -> int:
             "events_read": events_read,
             "events_dropped": dropped,
             "sessions": len(sessions),
-            "anonymous_sessions": len(anonymous),
-            "identified_sessions": len(identified),
+            "anonymous_sessions": anonymous,
+            "identified_sessions": identified,
             "outputs": {"sessions_path": sessions_path},
             "elapsed_s": round(time.time() - started, 3),
         },
     )
     print(
         f"{events_read} events read, {dropped} dropped; "
-        f"{len(sessions)} sessions ({len(anonymous)} anonymous / {len(identified)} identified)"
+        f"{len(sessions)} sessions ({anonymous} anonymous / {identified} identified)"
     )
     return EXIT_OK
 
@@ -273,7 +273,7 @@ def cmd_analyze(args) -> int:
         rows.append((group, ">1", _fmt_pct(stats["multi_share"])))
     _write_csv(out("ownership.csv"), "group,devices,percent", rows)
 
-    matrix, support = transition_matrix(journeys, DEVICES)
+    matrix, support = transition_matrix(journeys)
     rows = []
     for i, src in enumerate(DEVICES):
         for j, dst in enumerate(DEVICES):

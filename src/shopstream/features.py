@@ -82,16 +82,12 @@ def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
     """Fit Laplace-smoothed Markov chains and the device conversion table on
     training data only."""
     page_seqs = {True: [], False: []}
-    for s in train_sessions:
-        page_seqs[s.purchase].append(s.page_type_sequence())
     device_seqs = {True: [], False: []}
     for s in train_sessions:
-        if s.customer_id is None:
-            continue
-        hist = history_snapshot(train_journeys.get(s.customer_id), s.start_time)
-        seq = hist.device_sequence + [s.device]
-        if len(seq) >= 2:
-            device_seqs[s.purchase].append(seq)
+        page_seqs[s.purchase].append(s.page_type_sequence())
+        if s.customer_id is not None:
+            hist = history_snapshot(train_journeys.get(s.customer_id), s.start_time)
+            device_seqs[s.purchase].append(hist.device_sequence + [s.device])
     rates = conversion_rates(train_sessions)
     n_total = sum(r.total_sessions for r in rates)
     n_purchase = sum(r.purchase_sessions for r in rates)
@@ -103,11 +99,6 @@ def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
         device_conversion={r.key: r.conversion_rate for r in rates},
         global_conversion=(n_purchase / n_total) if n_total else 0.0,
     )
-
-
-def device_conversion_feature(ctx: FeatureContext, device: str) -> float:
-    """Training-fold conversion rate of a device; global rate for unseen devices."""
-    return ctx.device_conversion.get(device, ctx.global_conversion)
 
 
 def _session_columns(s: Session) -> list[float]:
@@ -186,8 +177,9 @@ class StepMatrixBuilder:
 
     def fold(self, rows, journeys, ctx: FeatureContext) -> dict:
         """Columns fitted on a fold for the sessions at rows: the page-sequence
-        score at every step, the device conversion rate and, when identified,
-        the history block with each session's history read from journeys."""
+        score at every step, the device conversion rate (the global rate for
+        a device the training fold lacks) and, when identified, the history
+        block with each session's history read from journeys."""
         rows = np.asarray(rows, dtype=np.int64)
         lp = ctx.page_chain_purchase._log_probs
         ln = ctx.page_chain_nonpurchase._log_probs
@@ -198,7 +190,7 @@ class StepMatrixBuilder:
             "rows": rows,
             "score": csum[:, t] / np.maximum(t, 1),  # 0 at t = 0
             "conversion": np.array(
-                [device_conversion_feature(ctx, self.sessions[i].device) for i in rows]
+                [ctx.device_conversion.get(self.sessions[i].device, ctx.global_conversion) for i in rows]
             ).reshape(-1, 1),
         }
         if self.setting == "identified":

@@ -224,17 +224,17 @@ def filter_events(events: Iterable[RawEvent], cfg: BotFilterConfig) -> tuple[lis
     return kept, dropped
 
 
-def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
-               max_events: int = MAX_SESSION_EVENTS):
+def sessionize(events: Iterable[RawEvent]):
     """Group events into idle-bounded sessions.
 
     Consecutive events of one client with an inter-event gap <= IDLE_GAP_MS
     share a session; a strictly larger gap starts a new one. A session is a
     purchase session iff any of its events is a Purchase. If any event
-    carries a customer_id the whole session is assigned to that customer
-    (late login), otherwise the session is anonymous and keyed by its
+    carries a customer_id the whole session, every event included, is
+    assigned to the first such customer (late login), as session_from_json
+    reads it back; otherwise the session is anonymous and keyed by its
     client_token. Sessions with an event count outside
-    [min_events, max_events] are dropped.
+    [MIN_SESSION_EVENTS, MAX_SESSION_EVENTS] are dropped.
 
     Events may arrive interleaved across clients (e.g. globally time-sorted);
     each client's own events must be in non-decreasing timestamp order or
@@ -265,9 +265,11 @@ def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
                 start = i
         runs.append(evs[start:])
         for k, run in enumerate(runs):
-            if not (min_events <= len(run) <= max_events):
+            if not (MIN_SESSION_EVENTS <= len(run) <= MAX_SESSION_EVENTS):
                 continue
             customer = next((e.customer_id for e in run if e.customer_id), None)
+            if customer is not None:
+                run = [e if e.customer_id == customer else e._replace(customer_id=customer) for e in run]
             sessions.append(
                 Session(
                     session_id=f"{token}-s{k}",
@@ -281,10 +283,3 @@ def sessionize(events: Iterable[RawEvent], min_events: int = MIN_SESSION_EVENTS,
                 )
             )
     return sessions
-
-
-def split_by_identity(sessions):
-    """Partition sessions into (anonymous, identified) by customer_id presence."""
-    anonymous = [s for s in sessions if s.customer_id is None]
-    identified = [s for s in sessions if s.customer_id is not None]
-    return anonymous, identified

@@ -66,8 +66,8 @@ class TrainConfig:
 
     def __post_init__(self):
         """Counts and sizes are positive; each error names its key. Rates,
-        l2, gbdt depth and the split minimum are the model classes'
-        defaults."""
+        l2, gbdt depth and the split minimum are constants of the model
+        classes, not settings."""
         for key, low in (
             ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
             ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1),

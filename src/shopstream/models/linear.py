@@ -19,10 +19,10 @@ def _sigmoid(z):
 class LogisticRegression:
     kind = "lr"
 
-    def __init__(self, learning_rate: float = 0.5, epochs: int = 400, l2: float = 1e-4, seed: int = 0):
-        self.learning_rate = learning_rate
+    def __init__(self, epochs: int = 400, seed: int = 0):
+        self.learning_rate = 0.5
         self.epochs = epochs
-        self.l2 = l2
+        self.l2 = 1e-4
         self.seed = seed
         self.coef_ = None
         self.intercept_ = 0.0
@@ -51,21 +51,20 @@ class LogisticRegression:
         return _sigmoid(self.decision_function(X))
 
 
-def _platt_fit(margins: np.ndarray, y: np.ndarray, sample_weight: np.ndarray,
-               epochs: int = 300, lr: float = 0.2) -> tuple[float, float]:
+def _platt_fit(margins: np.ndarray, y: np.ndarray, sample_weight: np.ndarray) -> tuple[float, float]:
     """1-D logistic calibration of decision margins (weighted)."""
     a, b = 1.0, 0.0
     sw = sample_weight / sample_weight.sum()
     yf = y.astype(np.float64)
     scale = max(float(np.abs(margins).mean()), 1e-12)
     m = margins / scale
-    for _ in range(epochs):
+    for _ in range(300):
         p = _sigmoid(a * m + b)
         err = sw * (p - yf)
         ga = float(err @ m)
         gb = float(err.sum())
-        a -= lr * ga
-        b -= lr * gb
+        a -= 0.2 * ga
+        b -= 0.2 * gb
     return a / scale, b
 
 
@@ -75,10 +74,10 @@ class LinearSVM:
 
     kind = "svm"
 
-    def __init__(self, learning_rate: float = 0.5, epochs: int = 400, l2: float = 1e-4, seed: int = 0):
-        self.learning_rate = learning_rate
+    def __init__(self, epochs: int = 400, seed: int = 0):
+        self.learning_rate = 0.5
         self.epochs = epochs
-        self.l2 = l2
+        self.l2 = 1e-4
         self.seed = seed
         self.coef_ = None
         self.intercept_ = 0.0

@@ -15,10 +15,10 @@ from .linear import _sigmoid
 class MLPClassifier:
     kind = "mlp"
 
-    def __init__(self, hidden: int = 32, epochs: int = 300, learning_rate: float = 0.02, seed: int = 0):
+    def __init__(self, hidden: int = 32, epochs: int = 300, seed: int = 0):
         self.hidden = hidden
         self.epochs = epochs
-        self.learning_rate = learning_rate
+        self.learning_rate = 0.02
         self.seed = seed
         self.w1 = None
         self.b1 = None

@@ -277,14 +277,13 @@ class RandomForestClassifier:
         n_trees: int = 200,
         max_depth: int = 12,
         min_samples_leaf: int = 1,
-        min_samples_split: int = 2,
         max_bins: int = 32,
         seed: int = 0,
     ):
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
+        self.min_samples_split = 2
         self.max_bins = max_bins
         self.seed = seed
         self.trees: list[_Tree] = []
@@ -346,15 +345,13 @@ class GradientBoostingClassifier:
     def __init__(
         self,
         n_rounds: int = 200,
-        learning_rate: float = 0.1,
-        max_depth: int = 3,
         min_samples_leaf: int = 1,
         max_bins: int = 32,
         seed: int = 0,
     ):
         self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
+        self.learning_rate = 0.1
+        self.max_depth = 3
         self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
         self.seed = seed

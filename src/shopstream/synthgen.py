@@ -246,10 +246,10 @@ class _Sampler:
     def draw(self, rng) -> str:
         return self.keys[bisect.bisect_right(self.cum, rng.random())]
 
-    def draw_excluding(self, rng, excluded: str, max_tries: int = 64) -> str:
+    def draw_excluding(self, rng, excluded: str) -> str:
         if len(self.keys) < 2:
             return self.keys[0]
-        for _ in range(max_tries):
+        for _ in range(64):
             k = self.draw(rng)
             if k != excluded:
                 return k

@@ -15,6 +15,7 @@ from shopstream.analytics import (
     temporal_profile,
     transition_matrix,
 )
+from shopstream.ingest import DEVICES
 from shopstream.sessions import build_journeys
 
 MS = 1000
@@ -265,7 +266,7 @@ def test_transition_matrix_degenerate_support():
         "u1": _mini_journey("u1", ["TV", "PC"], [False, True]),
         "u2": _mini_journey("u2", ["TV", "PC"], [False, True]),
     }
-    matrix, support = transition_matrix(journeys, ["PC", "Smartphone", "Tablet", "GameConsole", "TV"])
+    matrix, support = transition_matrix(journeys)
     tv, pc = 4, 0
     assert matrix[tv][pc] == 1.0
     assert support[tv] == 2
@@ -282,16 +283,16 @@ def test_transition_matrix_matches_brute_force():
         devs = [devices[int(i)] for i in rng.integers(0, 3, size=n)]
         buys = [bool(rng.random() < 0.4) for _ in range(n)]
         journeys[f"u{c}"] = _mini_journey(f"u{c}", devs, buys)
-    matrix, support = transition_matrix(journeys, devices)
-    counts = {(a, b): 0 for a in devices for b in devices}
+    matrix, support = transition_matrix(journeys)
+    counts = {(a, b): 0 for a in DEVICES for b in DEVICES}
     for j in journeys.values():
         for prev, nxt in zip(j, j[1:]):
             if nxt.purchase:
                 counts[(prev.device, nxt.device)] += 1
-    for i, a in enumerate(devices):
-        row_total = sum(counts[(a, b)] for b in devices)
+    for i, a in enumerate(DEVICES):
+        row_total = sum(counts[(a, b)] for b in DEVICES)
         assert support[i] == row_total
-        for k, b in enumerate(devices):
+        for k, b in enumerate(DEVICES):
             if row_total:
                 assert matrix[i][k] == pytest.approx(counts[(a, b)] / row_total)
             else:

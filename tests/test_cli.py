@@ -135,6 +135,7 @@ def test_ingest_pipeline(gen_dir, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sessions"] == len(truth)
     assert manifest["anonymous_sessions"] + manifest["identified_sessions"] == len(truth)
+    assert manifest["identified_sessions"] == sum(1 for t in truth if t["customer_id"] is not None)
 
 
 def test_ingest_allowed_countries_override(gen_dir, tmp_path):

@@ -8,7 +8,6 @@ from shopstream.features import (
     MissingJourney,
     ShortSession,
     StepMatrixBuilder,
-    device_conversion_feature,
     feature_names,
     fit_feature_context,
 )
@@ -103,7 +102,7 @@ def test_extract_hand_example_step3(ctx):
     assert row["device=PC"] == 1.0
     assert row["start_hour"] == 1.0  # epoch is 00:00 UTC = 01:00 CET
     assert row["weekday=Thu"] == 1.0  # 1970-01-01
-    assert row["device_conversion_rate"] == pytest.approx(device_conversion_feature(ctx, "PC"))
+    assert row["device_conversion_rate"] == pytest.approx(ctx.device_conversion["PC"])
     assert not np.isnan(vec).any()
 
 
@@ -167,9 +166,14 @@ def test_device_conversion_feature_value_and_fallback():
         sessions.append(_session([0, 10], device="PC", purchase=(i < 557), sid=f"c{i}",
                                  start_offset=i * 10**7))
     ctx = fit_feature_context(sessions, {})
-    assert device_conversion_feature(ctx, "PC") == pytest.approx(0.1114)
-    assert device_conversion_feature(ctx, "TV") == pytest.approx(ctx.global_conversion)
     assert ctx.global_conversion == pytest.approx(557 / 5000)
+    # the builder's column: PC's training rate, and the global rate for TV,
+    # a device the training fold lacks
+    held_out = [_session([0, 10], device=d, sid=d) for d in ("PC", "TV")]
+    column = feature_names("anonymous", "extended").index("device_conversion_rate")
+    pc, tv = _encode(held_out, 1, "anonymous", "extended", ctx)[:, column]
+    assert pc == pytest.approx(0.1114)
+    assert tv == ctx.global_conversion
 
 
 def _random_corpus(rng, n, customer_share=0.5):

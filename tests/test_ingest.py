@@ -20,6 +20,8 @@ from shopstream.ingest import (
     PAGE_TYPES,
     BadTimestamp,
     BotFilterConfig,
+    MAX_SESSION_EVENTS,
+    MIN_SESSION_EVENTS,
     MalformedLine,
     RawEvent,
     UnknownEnum,
@@ -28,7 +30,6 @@ from shopstream.ingest import (
     parse_event_line,
     read_events,
     sessionize,
-    split_by_identity,
 )
 
 GOOD_LINE = "1570000000000\tC1\tu42\tPC\tDirect\tPageView\thome\t\t\tNL"
@@ -245,19 +246,20 @@ def test_filter_mixed_stream_order_preserved():
 
 
 def test_sessionize_splits_on_gap():
-    events = [mk_event(0), mk_event(10 * MINUTE), mk_event(45 * MINUTE)]
-    sessions = sessionize(events, min_events=1)
-    assert [len(s.events) for s in sessions] == [2, 1]
+    events = [mk_event(0), mk_event(10 * MINUTE), mk_event(45 * MINUTE), mk_event(46 * MINUTE)]
+    sessions = sessionize(events)
+    assert [len(s.events) for s in sessions] == [2, 2]
 
 
 def test_sessionize_keeps_boundary_gap():
     # 29- and 30-minute gaps both stay in one session: "more than 30" is strict
     events = [mk_event(0), mk_event(29 * MINUTE), mk_event(58 * MINUTE)]
-    assert len(sessionize(events, min_events=1)) == 1
+    assert len(sessionize(events)) == 1
     events = [mk_event(0), mk_event(IDLE_MS)]
-    assert len(sessionize(events, min_events=1)) == 1
-    events = [mk_event(0), mk_event(IDLE_MS + 1)]
-    assert len(sessionize(events, min_events=1)) == 2
+    assert len(sessionize(events)) == 1
+    # two-event runs on each side of the gap, so both clear the 2-event minimum
+    events = [mk_event(0), mk_event(1000), mk_event(IDLE_MS + 1001), mk_event(IDLE_MS + 2001)]
+    assert len(sessionize(events)) == 2
 
 
 def test_sessionize_late_login_assigns_customer():
@@ -266,6 +268,7 @@ def test_sessionize_late_login_assigns_customer():
     (session,) = sessionize(events)
     assert session.customer_id == "u7"
     assert len(session.events) == 4
+    assert [e.customer_id for e in session.events] == ["u7"] * 4
 
 
 def test_sessionize_purchase_label():
@@ -276,11 +279,9 @@ def test_sessionize_purchase_label():
 
 def test_sessionize_length_filter():
     events = [mk_event(0)]
-    assert sessionize(events) == []  # single event below min_events=2
-    many = [mk_event(i * 1000) for i in range(5)]
-    assert sessionize(many, max_events=4) == []
+    assert sessionize(events) == []  # a single event is below MIN_SESSION_EVENTS
     longest = [mk_event(i * 1000) for i in range(2001)]
-    assert len(sessionize(longest[:2000])) == 1  # the default bounds are 2..2,000 events
+    assert len(sessionize(longest[:2000])) == 1  # the bounds are 2..2,000 events
     assert sessionize(longest) == []
 
 
@@ -311,25 +312,14 @@ def test_sessionize_matches_brute_force_on_random_streams():
 
 
 def test_sessionize_is_partition():
+    """The unbounded runs partition the events, and sessionize keeps exactly
+    those within the session bound."""
     rng = np.random.default_rng(99)
     events = random_event_stream(rng, max_events=300)
-    sessions = sessionize(events, min_events=1, max_events=10**9)
-    flat = sorted(
-        ((e.client_token, e.timestamp) for s in sessions for e in s.events)
-    )
+    runs = brute_force_sessionize(events, min_events=1, max_events=10**9)
+    flat = sorted((token, ts) for token, _, stamps, _, _ in runs for ts in stamps)
     original = sorted(((e.client_token, e.timestamp) for e in events))
     assert flat == original
-
-
-def test_split_by_identity():
-    events = []
-    for i in range(10):
-        customer = None if i < 6 else f"u{i}"
-        events += [
-            mk_event(i * 10**9, token=f"T{i}", customer=customer),
-            mk_event(i * 10**9 + 1000, token=f"T{i}", customer=customer),
-        ]
-    sessions = sessionize(events)
-    anon, ident = split_by_identity(sessions)
-    assert len(anon) == 6 and len(ident) == 4
-    assert split_by_identity([]) == ([], [])
+    bounded = {r for r in runs if MIN_SESSION_EVENTS <= len(r[2]) <= MAX_SESSION_EVENTS}
+    assert bounded != runs  # the stream has runs outside the bound
+    assert session_signatures(sessionize(events)) == bounded

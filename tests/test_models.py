@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,27 @@ from shopstream.models import (
     predict_proba,
     sample_weights,
 )
-from shopstream.models.linear import LogisticRegression, _sigmoid
+from shopstream.models.linear import LinearSVM, LogisticRegression, _sigmoid
 from shopstream.models.mlp import MLPClassifier
 from shopstream.models.neighbors import KNNClassifier, _nearest
 from shopstream.models import trees
 from shopstream.models.trees import GradientBoostingClassifier, RandomForestClassifier
+
+
+def test_model_constructors_take_only_settable_options():
+    """A model's constructor takes only what TrainConfig sets: the rates,
+    l2, gbdt depth and the split minimum are constants of the classes."""
+    expected = {
+        LogisticRegression: ("epochs", "seed"),
+        LinearSVM: ("epochs", "seed"),
+        KNNClassifier: ("k", "seed"),
+        RandomForestClassifier: ("n_trees", "max_depth", "min_samples_leaf", "max_bins", "seed"),
+        GradientBoostingClassifier: ("n_rounds", "min_samples_leaf", "max_bins", "seed"),
+        MLPClassifier: ("hidden", "epochs", "seed"),
+    }
+    assert sorted(cls.kind for cls in expected) == sorted(MODEL_KINDS)
+    for cls, names in expected.items():
+        assert tuple(inspect.signature(cls).parameters) == names, cls.__name__
 
 
 def _fast_cfg(kind, seed=0, **kw):
@@ -181,7 +199,7 @@ def test_lr_weighting_equals_duplication():
     X_dup = np.vstack([np.repeat(X_pos, 9, axis=0), X_neg])
     y_dup = np.array([1] * (9 * n_pos) + [0] * n_neg)
     # the same learner, fitted without class weights
-    duplicated = LogisticRegression(0.5, 800, 1e-4).fit(X_dup, y_dup, np.ones(len(y_dup)))
+    duplicated = LogisticRegression(epochs=800).fit(X_dup, y_dup, np.ones(len(y_dup)))
     assert np.abs(weighted.coef_ - duplicated.coef_).max() <= 1e-3
     assert abs(weighted.intercept_ - duplicated.intercept_) <= 1e-3
 
@@ -295,7 +313,7 @@ def test_tree_tie_break_prefers_lowest_feature_and_threshold():
     base = np.array([[0.0], [0.0], [1.0], [1.0]])
     X = np.repeat(np.repeat(base, 4, axis=1), 10, axis=0)
     y = np.repeat(np.array([0, 0, 1, 1]), 10)
-    gb = GradientBoostingClassifier(n_rounds=5, max_depth=2, seed=5)
+    gb = GradientBoostingClassifier(n_rounds=5, seed=5)
     gb.fit(X, y, np.ones(40))
     split_features = {int(f) for tree in gb.trees for f in tree.feature if f >= 0}
     assert split_features == {0}
@@ -448,7 +466,7 @@ def test_mlp_fit_bit_equal_to_reference(n, d, hidden, epochs):
     X, y = blobs(seed=n + d, n=n, d=d, gap=0.5)
     y[:2] = (0, 1)
     sw = sample_weights(y)
-    model = MLPClassifier(hidden, epochs, 0.02, seed=d).fit(X, y, sw)
+    model = MLPClassifier(hidden, epochs, seed=d).fit(X, y, sw)
     want = _mlp_fit_reference(X, y, sw, hidden, epochs, 0.02, seed=d)
     for key in ("w1", "b1", "w2"):
         assert getattr(model, key).tobytes() == want[key].tobytes(), key

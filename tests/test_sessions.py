@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MS, mk_event, mk_session, pageview_session
+from helpers import MS, generate_sessions, mk_event, mk_session, pageview_session
 from shopstream.features import StepMatrixBuilder, feature_names, fit_feature_context
 from shopstream.ingest import ACTIONS, PAGE_TYPES
 from shopstream.sessions import (
@@ -13,6 +13,7 @@ from shopstream.sessions import (
     session_to_json,
     write_sessions,
 )
+from shopstream.synthgen import GenConfig
 
 DAY_MS = 86_400_000
 
@@ -231,6 +232,14 @@ def test_session_json_round_trip(tmp_path):
     write_sessions(path, [s, s])
     loaded = read_sessions(path)
     assert len(loaded) == 2 and loaded[0].session_id == "sx"
+
+
+def test_ingested_sessions_round_trip_through_json():
+    # late logins included: every event of an identified session carries
+    # its session's customer, as the reader gives it
+    sessions, _ = generate_sessions(GenConfig(seed=7, n_customers=300))
+    for s in sessions:
+        assert session_from_json(session_to_json(s)) == s, s.session_id
 
 
 def test_read_sessions_shares_alphabet_strings(tmp_path):

@@ -327,7 +327,7 @@ def test_transitions_planting_matches_configured_rate():
                     device_transitions={k: dict(v) for k, v in DEVICE_TRANSITIONS_EXAMPLE.items()})
     sessions, _ = generate_sessions(cfg)
     journeys = build_journeys(sessions)
-    matrix, support = transition_matrix(journeys, DEVICES)
+    matrix, support = transition_matrix(journeys)
     tv, pc = DEVICES.index("TV"), DEVICES.index("PC")
     assert sum(support) >= 50_000
     assert matrix[tv][pc] == pytest.approx(0.4375, abs=0.02)
