@@ -127,11 +127,14 @@ def _clear_outputs(out_dir: str, *names: str) -> None:
             pass
 
 
-def _write_manifest(out_dir: str, payload: dict) -> None:
-    payload = {"tool_version": __version__, **payload}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_manifest(out_dir: str, payload: dict) -> None:
+    _write_json(os.path.join(out_dir, "manifest.json"), {"tool_version": __version__, **payload})
 
 
 def _fmt_pct(x: float) -> str:
@@ -259,10 +262,9 @@ def cmd_analyze(args) -> int:
     _write_csv(out("channels.csv"), "label,channel,percent_within_label", rows)
 
     rows = []
-    if sessions:
-        for r in conversion_rates(sessions):
-            std = "" if math.isnan(r.standardized_rate) else f"{r.standardized_rate:.2f}"
-            rows.append((r.key, r.purchase_sessions, r.total_sessions, f"{r.conversion_rate:.4f}", std))
+    for r in conversion_rates(sessions):
+        std = "" if math.isnan(r.standardized_rate) else f"{r.standardized_rate:.2f}"
+        rows.append((r.key, r.purchase_sessions, r.total_sessions, f"{r.conversion_rate:.4f}", std))
     _write_csv(out("devices.csv"), "device,purchase_sessions,total_sessions,conversion_rate,standardized_rate", rows)
 
     ownership = device_ownership(journeys)
@@ -301,9 +303,7 @@ def cmd_analyze(args) -> int:
         "ownership": ownership,
         "query_avg": {("purchase" if k else "non_purchase"): v for k, v in qs["avg"].items()},
     }
-    with open(out("report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out("report.json"), report)
 
     _write_manifest(
         args.out,

@@ -9,7 +9,7 @@ only; held-out sessions influence nothing but their own feature rows.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,11 +21,10 @@ from .features import (
     feature_names,
     fit_feature_context,
 )
-from .ingest import InvalidConfig, TooFewSessions  # re-exported
+from .ingest import InvalidConfig, TooFewSessions, check_known, check_numbers
 from .models import (
     MODEL_KINDS,
     SCALED_KINDS,
-    LengthMismatch,  # re-exported with f1_score
     TrainConfig,
     f1_score,
     fit as fit_model,
@@ -59,7 +58,7 @@ def kfold_split(ids, labels, k: int, seed: int) -> list[list]:
     return folds
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     steps: tuple = tuple(range(11))
     folds: int = 10
@@ -76,17 +75,11 @@ class ProtocolConfig:
     def __post_init__(self):
         """Every list is non-empty, without repeats, and holds only known
         names (steps: non-negative integers); each error names its key."""
-        if self.folds < 2:
-            raise InvalidConfig("folds", "must be >= 2")
-        if self.seed < 0:
-            raise InvalidConfig("seed", "must be >= 0")
-        for s in self.steps:
-            if not isinstance(s, numbers.Integral) or isinstance(s, bool) or s < 0:
-                raise InvalidConfig("steps", f"expected non-negative integers, got {s!r}")
+        check_numbers("folds", [self.folds], 2, math.inf, integral=True)
+        check_numbers("seed", [self.seed], 0, math.inf, integral=True)
+        check_numbers("steps", self.steps, 0, math.inf, integral=True)
         for key, known in (("settings", SETTINGS), ("variants", VARIANTS), ("models", MODEL_KINDS)):
-            for v in getattr(self, key):
-                if v not in known:
-                    raise InvalidConfig(key, f"unknown entry {v!r}; expected one of {list(known)}")
+            check_known(key, getattr(self, key), known)
         for key in ("steps", "settings", "variants", "models"):
             values = getattr(self, key)
             if not values:

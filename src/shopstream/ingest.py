@@ -15,6 +15,8 @@ optional: line 1 is one when its first field is the column name
 from __future__ import annotations
 
 import gzip
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -59,6 +61,25 @@ class InvalidConfig(ValueError):
         self.key = key
 
 
+def check_numbers(key: str, values, low, high, integral: bool = False) -> None:
+    """Raise InvalidConfig naming key unless every value is a finite real
+    number in [low, high], and an integer if integral is set. A bool is not
+    a number here, and NaN fails every comparison."""
+    kind = numbers.Integral if integral else numbers.Real
+    for v in values:
+        ok = isinstance(v, kind) and not isinstance(v, bool)
+        if not (ok and low <= v <= high and -math.inf < v < math.inf):
+            what = "an integer" if integral else "a finite number"
+            raise InvalidConfig(key, f"expected {what} in [{low}, {high}], got {v!r}")
+
+
+def check_known(key: str, values, known) -> None:
+    """Raise InvalidConfig naming key on the first value outside known."""
+    for v in values:
+        if v not in known:
+            raise InvalidConfig(key, f"unknown entry {v!r}; expected one of {list(known)}")
+
+
 class TooFewSessions(ValueError):
     """Fewer sessions than the protocol needs; a usage error like
     InvalidConfig, so it lives beside it."""
@@ -99,15 +120,18 @@ class RawEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class BotFilterConfig:
-    """Location/device bot screen."""
+    """Location/device bot screen; an empty set would drop every event."""
 
     allowed_countries: frozenset = frozenset({"NL", "DE", "BE", "FR", "LU"})
     allowed_devices: frozenset = frozenset(DEVICES)
 
     def __post_init__(self):
-        for d in self.allowed_devices:
-            if d not in DEVICES:
-                raise InvalidConfig("allowed_devices", f"unknown entry {d!r}; expected one of {list(DEVICES)}")
+        for key in ("allowed_countries", "allowed_devices"):
+            if not getattr(self, key):
+                raise InvalidConfig(key, "expected at least one entry")
+        if not all(isinstance(c, str) for c in self.allowed_countries):
+            raise InvalidConfig("allowed_countries", "expected country codes as strings")
+        check_known("allowed_devices", self.allowed_devices, DEVICES)
 
 
 def _decode_enum(value: str, lookup: dict, what: str, line_no: int) -> str:

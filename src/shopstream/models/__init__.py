@@ -11,11 +11,12 @@ nothing loads a model back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import InvalidConfig
+from ..ingest import check_known, check_numbers
 from .linear import LinearSVM, LogisticRegression
 from .mlp import MLPClassifier
 from .neighbors import KNNClassifier
@@ -45,7 +46,7 @@ class LengthMismatch(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     kind: str = "rf"
     seed: int = 0
@@ -65,16 +66,16 @@ class TrainConfig:
     mlp_epochs: int = 300
 
     def __post_init__(self):
-        """Counts and sizes are positive; each error names its key. Rates,
-        l2, gbdt depth and the split minimum are constants of the model
-        classes, not settings."""
+        """kind is a known model kind, and counts and sizes are positive
+        integers; each error names its key. Rates, l2, gbdt depth and the
+        split minimum are constants of the model classes, not settings."""
+        check_known("kind", [self.kind], MODEL_KINDS)
         for key, low in (
             ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
             ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1),
             ("min_samples_leaf", 1), ("max_bins", 2),
         ):
-            if getattr(self, key) < low:
-                raise InvalidConfig(key, f"expected >= {low}, got {getattr(self, key)!r}")
+            check_numbers(key, [getattr(self, key)], low, math.inf, integral=True)
 
 
 def class_weights(y: np.ndarray) -> dict:
@@ -110,9 +111,7 @@ def _build(cfg: TrainConfig):
             n_rounds=cfg.gbdt_rounds, min_samples_leaf=cfg.min_samples_leaf,
             max_bins=cfg.max_bins, seed=cfg.seed,
         )
-    if cfg.kind == "mlp":
-        return MLPClassifier(hidden=cfg.hidden, epochs=cfg.mlp_epochs, seed=cfg.seed)
-    raise ValueError(f"unknown model kind {cfg.kind!r}")
+    return MLPClassifier(hidden=cfg.hidden, epochs=cfg.mlp_epochs, seed=cfg.seed)
 
 
 def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
-from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, check_known, check_numbers
 from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
 from .sessions import compact_json
 
@@ -130,7 +129,7 @@ NONPURCHASE_PAGE_CHAIN = _page_chain(
     }
 )
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
     n_customers: int = 1000
@@ -162,22 +161,10 @@ class GenConfig:
     # history planting: short seeded first purchase per purchaser
     history_seed_sessions: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise InvalidConfig naming the first bad key. Mixes and chain rows
         are probabilities over known keys that sum to 1; query rates are per
         known device; every number is finite and in its key's range."""
-        def check_numbers(name, values, low, high):
-            for v in values:
-                # a bool is not a number here, and NaN fails every comparison
-                ok = isinstance(v, numbers.Real) and not isinstance(v, bool)
-                if not (ok and low <= v <= high and -math.inf < v < math.inf):
-                    raise InvalidConfig(name, f"expected a finite number in [{low}, {high}], got {v!r}")
-
-        def check_keys(name, mix, keys):
-            unknown = set(mix) - set(keys)
-            if unknown:
-                raise InvalidConfig(name, f"unknown keys {sorted(unknown)}")
-
         def check_mix(name, mix, keys=None):
             vals = list(mix.values() if isinstance(mix, dict) else mix)
             check_numbers(name, vals, 0, 1)
@@ -185,7 +172,7 @@ class GenConfig:
             if abs(total - 1.0) > 1e-9:
                 raise InvalidConfig(name, f"probabilities sum to {total:.6f}, expected 1")
             if keys is not None and isinstance(mix, dict):
-                check_keys(name, mix, keys)
+                check_known(name, mix, keys)
 
         def check_chain(name, chain, states):
             if not isinstance(chain, dict) or set(chain) != set(states):
@@ -208,11 +195,14 @@ class GenConfig:
             check_chain("device_transitions", self.device_transitions, DEVICES)
         for name in ("purchase_query_rates", "nonpurchase_query_rates"):
             rates = getattr(self, name)
-            check_keys(name, rates, DEVICES)
+            check_known(name, rates, DEVICES)
             # a session holds at most MAX_SESSION_EVENTS events, queries included
             check_numbers(name, rates.values(), 0, MAX_SESSION_EVENTS)
+        # counts; session lengths stay inside the ingest filter's bounds
+        for name, low, high in (("seed", 0, math.inf), ("n_customers", 0, math.inf),
+                                ("min_session_length", MIN_SESSION_EVENTS, MAX_SESSION_EVENTS)):
+            check_numbers(name, [getattr(self, name)], low, high, integral=True)
         for name, low, high in (
-            ("seed", 0, math.inf), ("n_customers", 0, math.inf),
             ("anonymous_share", 0, 1), ("purchaser_share", 0, 1), ("purchase_rate", 0, 1),
             ("pace_rate_purchase", 0, 1), ("pace_rate_nonpurchase", 0, 1),
             ("mean_sessions", 0, math.inf),
@@ -226,8 +216,6 @@ class GenConfig:
             ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
             check_numbers(name, [getattr(self, name)], low, high)
-        if not MIN_SESSION_EVENTS <= self.min_session_length <= MAX_SESSION_EVENTS:
-            raise InvalidConfig("min_session_length", f"outside the ingest filter's [{MIN_SESSION_EVENTS}, {MAX_SESSION_EVENTS}]")
 
 
 class _Sampler:
@@ -382,14 +370,10 @@ def _start_time(rng, prev_end: int | None, weekday: int, hour: int) -> int:
         + int(rng.integers(60)) * MS_PER_SECOND
         + int(rng.integers(1000))
     )
-    for day_offset in range(15):
-        day = day_cet + day_offset
-        if int((day + _EPOCH_WEEKDAY) % 7) != weekday:
-            continue
-        ts = int(day * MS_PER_DAY - CET_OFFSET_MS + offset_in_day)
-        if ts >= floor_ms:
-            return ts
-    raise AssertionError("unreachable: weekday slot search exceeded two weeks")
+    day = day_cet + (weekday - day_cet - _EPOCH_WEEKDAY) % 7
+    ts = day * MS_PER_DAY - CET_OFFSET_MS + offset_in_day
+    # the slot on day_cet itself may lie before floor_ms; a week later cannot
+    return ts if ts >= floor_ms else ts + 7 * MS_PER_DAY
 
 
 def _dwell_ms(rng, mu: float, sigma: float) -> int:
@@ -574,7 +558,6 @@ def _compile_samplers(cfg: GenConfig) -> dict:
 def generate_events(cfg: GenConfig) -> _EventLog:
     """Generate every session and its events into one _EventLog, sorted
     into file order and ready for its lines() and truth_lines()."""
-    cfg.validate()
     samplers = _compile_samplers(cfg)
 
     plans = []

@@ -168,6 +168,9 @@ def test_ingest_allowed_countries_override(gen_dir, tmp_path):
     ("generate", "late_login_share=0.1"),  # fixed generator targets and constants
     ("generate", "purchase_hours=[1]"),
     ("ingest", 'allowed_devices=["Phablet"]'),  # would drop every event
+    ("ingest", "allowed_countries=[5]"),  # so would these: country codes are strings
+    ("ingest", "allowed_countries=[]"),
+    ("ingest", "allowed_devices=[]"),
     ("evaluate", "seed=-1"),
     ("ingest", "min_session_events=3"),  # the 2..2,000-event session bound is fixed
     ("evaluate", "l2=0.01"),  # so are the models' rates, l2, gbdt depth and split minimum
@@ -360,6 +363,27 @@ def test_evaluate_threads_do_not_change_results(sessions_file, tmp_path):
     for name in ("step_report.csv", "importance.csv"):
         assert _sha(a / name) == _sha(b / name), name
     assert json.loads((b / "manifest.json").read_text())["threads"] == 2
+
+
+@pytest.mark.parametrize("command,setting", [
+    ("generate", "dwell_sigma=-1"),
+    ("ingest", 'allowed_devices=["Phablet"]'),
+    ("evaluate", "folds=1"),
+])
+def test_bad_setting_leaves_earlier_run(gen_dir, sessions_file, tmp_path, command, setting):
+    """A usage error is raised before --out is touched: the files of an
+    earlier run there are byte-identical afterwards."""
+    if command == "generate":
+        out, inputs = gen_dir, []
+    elif command == "ingest":
+        out, inputs = sessions_file.parent, [str(gen_dir / "events.tsv")]
+    else:
+        out, inputs = tmp_path / "ev", [str(sessions_file)]
+        assert _evaluate_small(sessions_file, out, "1") == 0
+    before = {p.name: _sha(p) for p in out.iterdir()}
+    assert "manifest.json" in before
+    assert main([command, *inputs, "--set", setting, "--out", str(out)]) == 2
+    assert {p.name: _sha(p) for p in out.iterdir()} == before
 
 
 # a record field set to a value of another JSON type than the writer's

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from helpers import (
     static_share_curve,
 )
 from shopstream.evaluation import (
-    LengthMismatch,
     ProtocolConfig,
     Scaler,
     TooFewSessions,
@@ -22,8 +23,9 @@ from shopstream.evaluation import (
     kfold_split,
     run_protocol,
 )
-from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES
-from shopstream.models import TrainConfig
+from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, BotFilterConfig, InvalidConfig
+from shopstream.models import LengthMismatch, TrainConfig
+from shopstream.synthgen import GenConfig
 
 MS = 1000
 DAY_MS = 86_400_000
@@ -337,7 +339,7 @@ def test_fold_artifacts_refuse_an_empty_capture(monkeypatch):
 def test_static_share_stays_high_without_dynamic_signal():
     # control corpus: label lives in channel/weekday only, dynamics are noise
     from shopstream.ingest import DEVICES as ALL_DEVICES
-    from shopstream.synthgen import GenConfig, NONPURCHASE_PAGE_CHAIN
+    from shopstream.synthgen import NONPURCHASE_PAGE_CHAIN
 
     zero = {d: 0.0 for d in ALL_DEVICES}
     shared = {k: dict(v) for k, v in NONPURCHASE_PAGE_CHAIN.items()}
@@ -365,6 +367,27 @@ def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(models=("catboost",))
     assert ProtocolConfig().min_pages == 12
+
+
+@pytest.mark.parametrize("cls,key,value", [
+    (TrainConfig, "n_trees", float("nan")),
+    (TrainConfig, "knn_k", True),
+    (TrainConfig, "hidden", float("inf")),
+    (TrainConfig, "kind", "xgb"),
+    (ProtocolConfig, "folds", float("nan")),
+])
+def test_config_checks_itself(cls, key, value):
+    # the CLI rejects these by their JSON type; the Python API by value
+    with pytest.raises(InvalidConfig) as err:
+        cls(**{key: value})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("cfg", [GenConfig(), BotFilterConfig(), TrainConfig(), ProtocolConfig()])
+def test_built_config_is_frozen(cfg):
+    key = fields(cfg)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, key, getattr(cfg, key))
 
 
 def test_csv_outputs_shape():

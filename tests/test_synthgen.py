@@ -144,17 +144,16 @@ def test_empty_config(tmp_path):
 
 
 def test_invalid_config_names_key():
-    cfg = GenConfig(purchase_channel_mix={"Direct": 0.5, "Paid": 0.4})
     with pytest.raises(InvalidConfig) as err:
-        cfg.validate()
+        GenConfig(purchase_channel_mix={"Direct": 0.5, "Paid": 0.4})
     assert "purchase_channel_mix" in str(err.value)
 
     with pytest.raises(InvalidConfig, match="anonymous_share"):
-        GenConfig(anonymous_share=1.5).validate()
+        GenConfig(anonymous_share=1.5)
     with pytest.raises(InvalidConfig, match="min_session_length"):
-        GenConfig(min_session_length=1).validate()
+        GenConfig(min_session_length=1)
     with pytest.raises(InvalidConfig, match="purchase_query_rates"):
-        GenConfig(purchase_query_rates={"PC": -1.0}).validate()
+        GenConfig(purchase_query_rates={"PC": -1.0})
 
 
 def test_plant_signal_zero_is_noop():
@@ -169,14 +168,12 @@ def test_plant_signal_static_monotone():
     strong = plant_signal(cfg, "static", 0.9)
     base_paid = cfg.purchase_channel_mix["Paid"]
     assert base_paid < weak.purchase_channel_mix["Paid"] < strong.purchase_channel_mix["Paid"]
-    for planted in (weak, strong):
+    for planted in (weak, strong):  # replace() builds, and so checks, each one
         assert sum(planted.purchase_channel_mix.values()) == pytest.approx(1.0, abs=1e-9)
-        planted.validate()
 
 
 def test_plant_signal_dynamic_chains_separate():
     cfg = plant_signal(GenConfig(), "dynamic", 1.0)
-    cfg.validate()
     rng = np.random.default_rng(17)
     train_p = sample_chain_sequences(rng, cfg.purchase_page_chain, INITIAL_PAGE_DIST, 20, 300, PAGE_TYPES)
     train_n = sample_chain_sequences(rng, cfg.nonpurchase_page_chain, INITIAL_PAGE_DIST, 20, 300, PAGE_TYPES)
