@@ -187,7 +187,7 @@ def _run_fold(journeys, builder, fold_ids, fold_index, cfg: ProtocolConfig):
     # not protocol rows) but never on held-out sessions
     train_journeys = {customer: [s for s in journey if s.session_id not in eval_set]
                       for customer, journey in journeys.items()}
-    ctx = fit_feature_context([builder.sessions[i] for i in train_rows], train_journeys)
+    ctx = fit_feature_context(builder, train_rows, train_journeys)
     train = builder.fold(train_rows, train_journeys, ctx)
     held_out = builder.fold(eval_rows, journeys, ctx)
 

@@ -78,26 +78,24 @@ class FeatureContext:
     global_conversion: float
 
 
-def fit_feature_context(train_sessions, train_journeys) -> FeatureContext:
+def fit_feature_context(builder, train_rows, train_journeys) -> FeatureContext:
     """Fit Laplace-smoothed Markov chains and the device conversion table on
-    training data only."""
-    page_seqs = {True: [], False: []}
+    the builder's train_rows only, the page chains from their transition counts."""
+    rows = np.asarray(train_rows, dtype=np.int64)
+    train = [builder.sessions[i] for i in rows]
+    purchase = builder.labels[rows] == 1
     device_seqs = {True: [], False: []}
-    for s in train_sessions:
-        page_seqs[s.purchase].append(s.page_type_sequence())
+    for s in train:
         if s.customer_id is not None:
             hist = history_snapshot(train_journeys.get(s.customer_id), s.start_time)
             device_seqs[s.purchase].append(hist.device_sequence + [s.device])
-    rates = conversion_rates(train_sessions)
-    n_total = sum(r.total_sessions for r in rates)
-    n_purchase = sum(r.purchase_sessions for r in rates)
     return FeatureContext(
-        page_chain_purchase=markov.fit(page_seqs[True], PAGE_TYPES),
-        page_chain_nonpurchase=markov.fit(page_seqs[False], PAGE_TYPES),
+        page_chain_purchase=markov.MarkovChain(PAGE_TYPES, builder.page_counts[rows[purchase]].sum(axis=0)),
+        page_chain_nonpurchase=markov.MarkovChain(PAGE_TYPES, builder.page_counts[rows[~purchase]].sum(axis=0)),
         device_chain_purchase=markov.fit(device_seqs[True], DEVICES),
         device_chain_nonpurchase=markov.fit(device_seqs[False], DEVICES),
-        device_conversion={r.key: r.conversion_rate for r in rates},
-        global_conversion=(n_purchase / n_total) if n_total else 0.0,
+        device_conversion={r.key: r.conversion_rate for r in conversion_rates(train)},
+        global_conversion=float(purchase.mean()) if rows.size else 0.0,
     )
 
 
@@ -134,9 +132,9 @@ class StepMatrixBuilder:
     """Feature matrices of one setting's sessions at many steps.
 
     The constructor computes what depends on the sessions alone, once:
-    labels, dwell prefix statistics, the page-type pairs the steps score and
-    the channel/hour/weekday/device block. fold() computes the columns fitted
-    on a fold for some of the sessions, and matrix() stacks both.
+    labels, dwell prefix statistics, page-type pairs and transition counts,
+    and the channel/hour/weekday/device block. fold() computes the columns
+    fitted on a fold for some of the sessions, and matrix() stacks both.
 
     Dwell statistics use the population (divide-by-n) standard deviation and
     an expanding window over the pages seen so far. The dwell of a session's
@@ -158,12 +156,15 @@ class StepMatrixBuilder:
         # from/to page-type codes of the transitions the largest step scores
         width = max(last - 1, 0)
         self.pairs = np.zeros((2, n, width), dtype=np.int64)
+        # per session: [a, b] counts page type b following page type a
+        n_types = len(PAGE_TYPES)
+        self.page_counts = np.zeros((n, n_types, n_types), dtype=np.int64)
         self.static = np.zeros((n, len(SESSION_FEATURES) - 1))
         page_index = {p: i for i, p in enumerate(PAGE_TYPES)}
         for i, s in enumerate(self.sessions):
-            n_pv = s.n_page_views
-            if n_pv < last:
-                raise ShortSession(f"session {s.session_id} has {n_pv} page views, fewer than step {last}")
+            codes = np.array([page_index[e.page_type] for e in s.events if e.action == "PageView"], np.int64)
+            if len(codes) < last:
+                raise ShortSession(f"session {s.session_id} has {len(codes)} page views, fewer than step {last}")
             dwells = dwell_times(s)
             csum = np.concatenate([[0.0], np.cumsum(dwells)])
             csq = np.concatenate([[0.0], np.cumsum(np.square(dwells))])
@@ -171,8 +172,8 @@ class StepMatrixBuilder:
             mean = csum[m] / np.maximum(m, 1)  # 0 at m = 0
             std = np.sqrt(np.maximum(csq[m] / np.maximum(m, 1) - mean * mean, 0.0))
             self.dyn[i] = np.column_stack([mean, std, self.steps, m])
-            seq = [page_index[p] for p in s.page_type_sequence(width + 1)]
-            self.pairs[:, i] = seq[:-1], seq[1:]
+            self.pairs[:, i] = codes[:width], codes[1 : width + 1]
+            self.page_counts[i].flat = np.bincount(codes[:-1] * n_types + codes[1:], minlength=n_types**2)
             self.static[i] = _session_columns(s)
 
     def fold(self, rows, journeys, ctx: FeatureContext) -> dict:

@@ -127,7 +127,10 @@ class BotFilterConfig:
 
     def __post_init__(self):
         for key in ("allowed_countries", "allowed_devices"):
-            if not getattr(self, key):
+            value = getattr(self, key)
+            if isinstance(value, str):  # membership would test substrings
+                raise InvalidConfig(key, f"expected a set of names, got {value!r}")
+            if not value:
                 raise InvalidConfig(key, "expected at least one entry")
         if not all(isinstance(c, str) for c in self.allowed_countries):
             raise InvalidConfig("allowed_countries", "expected country codes as strings")

@@ -91,7 +91,7 @@ def class_weights(y: np.ndarray) -> dict:
 
 def sample_weights(y: np.ndarray) -> np.ndarray:
     cw = class_weights(y)
-    return np.array([cw[int(c)] for c in y])
+    return np.where(y == 1, cw.get(1, 0.0), cw.get(0, 0.0))
 
 
 def _build(cfg: TrainConfig):
@@ -122,6 +122,8 @@ def fit(X: np.ndarray, y: np.ndarray, cfg: TrainConfig):
         raise NonFiniteInput("feature matrix contains NaN or inf")
     if np.unique(y).size < 2:
         raise SingleClassTraining("training labels contain a single class")
+    if not np.isin(y, (0, 1)).all():  # sample_weights weighs any other label as class 0
+        raise ValueError("training labels must be 0 or 1")
     sw = sample_weights(y)
     model = _build(cfg)
     model.fit(X, y, sw)
@@ -175,10 +177,9 @@ def permutation_importance(model, X: np.ndarray, y: np.ndarray, seed: int = 0) -
     base = f1_score(y, (proba >= 0.5).astype(np.int64))[2]
     rng = np.random.default_rng(seed)
     n, d = X.shape
-    columns = np.empty((d, N_SHUFFLES, n))
-    for j in range(d):
-        for s in range(N_SHUFFLES):
-            columns[j, s] = X[rng.permutation(n), j]
+    order = rng.permuted(np.tile(np.arange(n), (d * N_SHUFFLES, 1)), axis=1)
+    columns = X[order.reshape(d, N_SHUFFLES, n), np.arange(d)[:, None, None]]
+    del order  # the shuffled copies are scored with only columns held
     hit = model.predict_shuffled(X, proba, columns) >= 0.5
     pos, neg = y == 1, y == 0
     tp = np.count_nonzero(hit & pos, axis=2).tolist()

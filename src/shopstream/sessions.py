@@ -54,11 +54,6 @@ class Session:
     def n_queries(self) -> int:
         return sum(1 for e in self.events if e.action == "Query")
 
-    def page_type_sequence(self, step: Optional[int] = None) -> list[str]:
-        """Page types of the first `step` page views (all when step is None)."""
-        seq = [e.page_type for e in self.events if e.action == "PageView"]
-        return seq if step is None else seq[:step]
-
 
 class HistorySummary(NamedTuple):
     orders: int

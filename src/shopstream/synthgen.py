@@ -27,8 +27,10 @@ import bisect
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from types import MappingProxyType
 
 import numpy as np
 
@@ -166,19 +168,19 @@ class GenConfig:
         are probabilities over known keys that sum to 1; query rates are per
         known device; every number is finite and in its key's range."""
         def check_mix(name, mix, keys=None):
-            vals = list(mix.values() if isinstance(mix, dict) else mix)
+            vals = list(mix.values() if isinstance(mix, Mapping) else mix)
             check_numbers(name, vals, 0, 1)
             total = sum(vals)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidConfig(name, f"probabilities sum to {total:.6f}, expected 1")
-            if keys is not None and isinstance(mix, dict):
+            if keys is not None and isinstance(mix, Mapping):
                 check_known(name, mix, keys)
 
         def check_chain(name, chain, states):
-            if not isinstance(chain, dict) or set(chain) != set(states):
+            if not isinstance(chain, Mapping) or set(chain) != set(states):
                 raise InvalidConfig(name, f"expected one row for each of {list(states)}")
             for src, row in chain.items():
-                if not isinstance(row, dict):
+                if not isinstance(row, Mapping):
                     raise InvalidConfig(f"{name}[{src}]", "expected a mapping")
                 check_mix(f"{name}[{src}]", row, states)
 
@@ -216,6 +218,16 @@ class GenConfig:
             ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
             check_numbers(name, [getattr(self, name)], low, high)
+        # checked, so read-only: a mix changed after this could sum to anything
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Mapping):
+                object.__setattr__(self, f.name, _read_only(value))
+
+
+def _read_only(mapping: Mapping) -> MappingProxyType:
+    """A read-only copy of mapping, with every mapping inside it read-only too."""
+    return MappingProxyType({k: _read_only(v) if isinstance(v, Mapping) else v for k, v in mapping.items()})
 
 
 class _Sampler:

@@ -186,9 +186,9 @@ def test_journeys_built_once_and_filtered_per_fold(monkeypatch):
         calls.append(1)
         return real_build(sessions)
 
-    def capturing_fit(train_sessions, train_journeys):
+    def capturing_fit(builder, train_rows, train_journeys):
         tables.append(train_journeys)
-        return real_fit(train_sessions, train_journeys)
+        return real_fit(builder, train_rows, train_journeys)
 
     monkeypatch.setattr(evaluation, "build_journeys", counting_build)
     monkeypatch.setattr(evaluation, "fit_feature_context", capturing_fit)
@@ -212,6 +212,44 @@ def test_journeys_built_once_and_filtered_per_fold(monkeypatch):
         assert got.keys() == want.keys()
         for customer, journey in want.items():
             assert [s.session_id for s in got[customer]] == [s.session_id for s in journey]
+
+
+def test_page_chains_are_summed_builder_counts(monkeypatch):
+    # a fold fits only its two device chains; its page chains sum the
+    # builder's per-session counts and equal chains fitted on its training
+    # rows' page-view sequences
+    from shopstream import evaluation, markov
+
+    real_fit, real_context = markov.fit, evaluation.fit_feature_context
+    folds = []
+
+    def counting_fit(*args):
+        folds[-1]["fits"] += 1
+        return real_fit(*args)
+
+    def checked_context(builder, train_rows, train_journeys):
+        folds.append({"fits": 0})
+        ctx = real_context(builder, train_rows, train_journeys)
+        for label, chain in ((True, ctx.page_chain_purchase), (False, ctx.page_chain_nonpurchase)):
+            pages = [[e.page_type for e in s.events if e.action == "PageView"]
+                     for s in (builder.sessions[i] for i in train_rows) if s.purchase == label]
+            want = real_fit(pages, PAGE_TYPES)
+            folds[-1][label] = (chain.alphabet == want.alphabet and chain.counts.dtype == want.counts.dtype
+                                and np.array_equal(chain.counts, want.counts)
+                                and np.array_equal(chain._log_probs, want._log_probs))
+        return ctx
+
+    monkeypatch.setattr(markov, "fit", counting_fit)
+    monkeypatch.setattr(evaluation, "fit_feature_context", checked_context)
+    # every fourth event a basket action, so not every event is a page view
+    sessions = [
+        mk_session([e._replace(action="AddToBasket") if k % 4 == 3 else e for k, e in enumerate(s.events)],
+                   session_id=s.session_id, customer=s.customer_id)
+        for s in _corpus(np.random.default_rng(52), n_sessions=36)
+    ]
+    cfg = ProtocolConfig(steps=(0, 2), folds=3, models=("lr",), seed=7, train=_small_train())
+    run_protocol(sessions, cfg)
+    assert folds == [{"fits": 2, True: True, False: True}] * (len(cfg.settings) * cfg.folds)
 
 
 def test_run_protocol_learns_planted_channel_signal():
@@ -375,12 +413,15 @@ def test_protocol_config_validation():
     (TrainConfig, "hidden", float("inf")),
     (TrainConfig, "kind", "xgb"),
     (ProtocolConfig, "folds", float("nan")),
+    (BotFilterConfig, "allowed_countries", "NLDE"),  # would keep country "LD"
+    (BotFilterConfig, "allowed_devices", "PCTV"),
 ])
 def test_config_checks_itself(cls, key, value):
     # the CLI rejects these by their JSON type; the Python API by value
     with pytest.raises(InvalidConfig) as err:
         cls(**{key: value})
     assert err.value.key == key
+    assert repr(value) in str(err.value)
 
 
 @pytest.mark.parametrize("cfg", [GenConfig(), BotFilterConfig(), TrainConfig(), ProtocolConfig()])

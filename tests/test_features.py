@@ -38,6 +38,12 @@ def _encode(sessions, step, setting, variant, ctx, journeys=None):
     return builder.matrix(step, variant, builder.fold(np.arange(len(sessions)), journeys or {}, ctx))[0]
 
 
+def _context(sessions, journeys):
+    """The feature context fitted on every one of sessions."""
+    builder = StepMatrixBuilder(sessions, "anonymous", [0])
+    return fit_feature_context(builder, np.arange(len(sessions)), journeys)
+
+
 @pytest.fixture()
 def ctx():
     train = [
@@ -45,7 +51,7 @@ def ctx():
         _session([0, 30], pages=["home", "category"], sid="t2"),
         _session([0, 5, 9], pages=["search", "product", "basket"], device="Tablet", sid="t3"),
     ]
-    return fit_feature_context(train, {})
+    return _context(train, {})
 
 
 def test_catalog_baseline_and_exclusions():
@@ -165,7 +171,7 @@ def test_device_conversion_feature_value_and_fallback():
     for i in range(5000):
         sessions.append(_session([0, 10], device="PC", purchase=(i < 557), sid=f"c{i}",
                                  start_offset=i * 10**7))
-    ctx = fit_feature_context(sessions, {})
+    ctx = _context(sessions, {})
     assert ctx.global_conversion == pytest.approx(557 / 5000)
     # the builder's column: PC's training rate, and the global rate for TV,
     # a device the training fold lacks
@@ -198,7 +204,7 @@ def test_builder_matches_reference_all_configs():
     rng = np.random.default_rng(123)
     sessions = _random_corpus(rng, 30)
     journeys = build_journeys(sessions)
-    ctx = fit_feature_context(sessions, journeys)
+    ctx = _context(sessions, journeys)
     steps = list(range(11))
     for setting in ("anonymous", "identified"):
         subset = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
@@ -229,7 +235,7 @@ def test_builder_fold_rows_match_reference_with_their_journeys():
         train_rows = [i for i, s in enumerate(pool) if s.session_id not in held]
         held_rows = [i for i, s in enumerate(pool) if s.session_id in held]
         assert train_rows != list(range(len(train_rows)))  # not a contiguous block
-        ctx = fit_feature_context([pool[i] for i in train_rows], train_journeys)
+        ctx = fit_feature_context(builder, train_rows, train_journeys)
         for rows, journeys in ((train_rows, train_journeys), (held_rows, full_journeys)):
             fold = builder.fold(rows, journeys, ctx)
             for variant in ("baseline", "extended"):
@@ -250,7 +256,7 @@ def test_builder_errors():
     with pytest.raises(ShortSession):  # 13 to 19 page views each
         StepMatrixBuilder(sessions, "anonymous", (0, 20))
     builder = StepMatrixBuilder(sessions, "identified", (0, 5))
-    ctx = fit_feature_context(sessions, {})
+    ctx = fit_feature_context(builder, np.arange(len(sessions)), {})
     with pytest.raises(MissingJourney):
         builder.fold([0], {}, ctx)
 
@@ -258,8 +264,8 @@ def test_builder_errors():
 def test_builder_step_monotonicity():
     rng = np.random.default_rng(5)
     sessions = _random_corpus(rng, 12, customer_share=0.0)
-    ctx = fit_feature_context(sessions, {})
     builder = StepMatrixBuilder(sessions, "anonymous", list(range(11)))
+    ctx = fit_feature_context(builder, np.arange(len(sessions)), {})
     fold = builder.fold(np.arange(len(sessions)), {}, ctx)
     names = feature_names("anonymous", "extended")
     static_cols = [i for i, n in enumerate(names) if static_mask("anonymous", "extended")[i]]
@@ -277,6 +283,6 @@ def test_context_serialization_is_deterministic():
     rng = np.random.default_rng(6)
     sessions = _random_corpus(rng, 10)
     journeys = build_journeys(sessions)
-    a = fitted_state(fit_feature_context(sessions, journeys))
-    b = fitted_state(fit_feature_context(sessions, journeys))
+    a = fitted_state(_context(sessions, journeys))
+    b = fitted_state(_context(sessions, journeys))
     assert a == b

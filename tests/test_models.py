@@ -294,6 +294,8 @@ def test_fit_error_cases():
     X = np.zeros((10, 2))
     with pytest.raises(SingleClassTraining):
         fit(X, np.zeros(10, dtype=int), _fast_cfg("lr"))
+    with pytest.raises(ValueError, match="0 or 1"):
+        fit(X, np.array([0, 2] * 5), _fast_cfg("lr"))
     X_bad = X.copy()
     X_bad[0, 0] = np.nan
     with pytest.raises(NonFiniteInput):

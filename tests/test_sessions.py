@@ -54,7 +54,7 @@ def _dwell_columns(s, step):
     """(dwell_mean, dwell_std, n_pages, dwell_count) of s at one step, as the
     protocol's feature builder encodes them."""
     builder = StepMatrixBuilder([s], "anonymous", [step])
-    fold = builder.fold([0], {}, fit_feature_context([s], {}))
+    fold = builder.fold([0], {}, fit_feature_context(builder, [0], {}))
     row = dict(zip(feature_names("anonymous", "baseline"), builder.matrix(step, "baseline", fold)[0][0]))
     return [row[n] for n in ("dwell_mean", "dwell_std", "n_pages", "dwell_count")]
 

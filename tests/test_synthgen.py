@@ -2,6 +2,7 @@ import bisect
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def test_invalid_config_names_key():
         GenConfig(min_session_length=1)
     with pytest.raises(InvalidConfig, match="purchase_query_rates"):
         GenConfig(purchase_query_rates={"PC": -1.0})
+
+
+def test_built_config_mappings_are_read_only():
+    g = GenConfig(n_customers=5, device_transitions={d: {d: 1.0} for d in DEVICES})
+    with pytest.raises(TypeError):
+        g.purchase_channel_mix["Direct"] = 5.0
+    with pytest.raises(TypeError):
+        g.purchase_page_chain["home"]["home"] = 1.0
+    with pytest.raises(TypeError):
+        g.device_transitions["PC"]["TV"] = 1.0
+    # the defaults the CLI compares JSON types with stay plain dicts
+    assert type(GenConfig.__dataclass_fields__["purchase_channel_mix"].default_factory()) is dict
+    assert replace(g, n_customers=6).purchase_page_chain == g.purchase_page_chain
 
 
 def test_plant_signal_zero_is_noop():
