@@ -199,10 +199,9 @@ def query_stats(sessions) -> dict:
     for s in sessions:
         cell = (s.device, s.purchase)
         per_cell.setdefault(cell, []).append(s.n_queries)
-        bucket = uniques.setdefault(cell, set())
-        for e in s.events:
-            if e.action == "Query" and e.query_text is not None:
-                bucket.add(e.query_text)
+        uniques.setdefault(cell, set()).update(
+            q for a, q in zip(s.actions, s.queries) if a == "Query" and q is not None
+        )
     rows = {}
     for cell, qs in per_cell.items():
         rows[cell] = {

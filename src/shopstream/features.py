@@ -162,7 +162,7 @@ class StepMatrixBuilder:
         self.static = np.zeros((n, len(SESSION_FEATURES) - 1))
         page_index = {p: i for i, p in enumerate(PAGE_TYPES)}
         for i, s in enumerate(self.sessions):
-            codes = np.array([page_index[e.page_type] for e in s.events if e.action == "PageView"], np.int64)
+            codes = np.array([page_index[p] for a, p in zip(s.actions, s.page_types) if a == "PageView"], np.int64)
             if len(codes) < last:
                 raise ShortSession(f"session {s.session_id} has {len(codes)} page views, fewer than step {last}")
             dwells = dwell_times(s)

@@ -257,11 +257,12 @@ def sessionize(events: Iterable[RawEvent]):
     Consecutive events of one client with an inter-event gap <= IDLE_GAP_MS
     share a session; a strictly larger gap starts a new one. A session is a
     purchase session iff any of its events is a Purchase. If any event
-    carries a customer_id the whole session, every event included, is
-    assigned to the first such customer (late login), as session_from_json
-    reads it back; otherwise the session is anonymous and keyed by its
+    carries a customer_id the session is assigned to the first such
+    customer (late login); otherwise it is anonymous and keyed by its
     client_token. Sessions with an event count outside
-    [MIN_SESSION_EVENTS, MAX_SESSION_EVENTS] are dropped.
+    [MIN_SESSION_EVENTS, MAX_SESSION_EVENTS] are dropped. Each session
+    holds its events' columns, and a list argument is emptied once its
+    events are bucketed, so no RawEvent outlives the call.
 
     Events may arrive interleaved across clients (e.g. globally time-sorted);
     each client's own events must be in non-decreasing timestamp order or
@@ -281,32 +282,31 @@ def sessionize(events: Iterable[RawEvent]):
                     f"({bucket[-1].timestamp} -> {e.timestamp})"
                 )
             bucket.append(e)
+    if isinstance(events, list):
+        events.clear()
 
     sessions = []
-    for token, evs in per_client.items():
-        start = 0
-        runs = []
-        for i in range(1, len(evs)):
-            if evs[i].timestamp - evs[i - 1].timestamp > IDLE_GAP_MS:
-                runs.append(evs[start:i])
-                start = i
-        runs.append(evs[start:])
-        for k, run in enumerate(runs):
-            if not (MIN_SESSION_EVENTS <= len(run) <= MAX_SESSION_EVENTS):
+    for token in list(per_client):
+        evs = per_client.pop(token)  # released once its sessions are built
+        cuts = [i for i in range(1, len(evs)) if evs[i].timestamp - evs[i - 1].timestamp > IDLE_GAP_MS]
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(evs)])):
+            if not (MIN_SESSION_EVENTS <= hi - lo <= MAX_SESSION_EVENTS):
                 continue
-            customer = next((e.customer_id for e in run if e.customer_id), None)
-            if customer is not None:
-                run = [e if e.customer_id == customer else e._replace(customer_id=customer) for e in run]
+            timestamps, _, customers, _, _, actions, page_types, queries, prices, _ = zip(*evs[lo:hi])
             sessions.append(
                 Session(
                     session_id=f"{token}-s{k}",
                     client_token=token,
-                    customer_id=customer,
-                    device=run[0].device,
-                    channel=run[0].channel,
-                    events=tuple(run),
-                    purchase=any(e.action == "Purchase" for e in run),
-                    country=run[0].country,
+                    customer_id=next(filter(None, customers), None),
+                    device=evs[lo].device,
+                    channel=evs[lo].channel,
+                    timestamps=timestamps,
+                    actions=actions,
+                    page_types=page_types,
+                    queries=queries,
+                    prices=prices,
+                    purchase="Purchase" in actions,
+                    country=evs[lo].country,
                 )
             )
     return sessions

@@ -8,7 +8,7 @@ from types import NoneType
 from typing import NamedTuple, Optional
 
 from .analytics import MS_PER_DAY
-from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, RawEvent, UnknownEnum, not_utf8
+from .ingest import ACTIONS, CHANNELS, DEVICES, PAGE_TYPES, MalformedLine, UnknownEnum, not_utf8
 
 # each decoded action and page type maps to ingest's own string, so a
 # file's events share one copy of it instead of one per event
@@ -17,10 +17,11 @@ _CANONICAL = {name: name for name in (*ACTIONS, *PAGE_TYPES)}
 
 @dataclass(frozen=True, slots=True)
 class Session:
-    """An idle-bounded sequence of one client's events.
-
-    Events are non-decreasing in timestamp and share the client token;
-    purchase is true iff some event is a Purchase action.
+    """An idle-bounded run of one client's events, as five equal-length
+    columns: timestamps (non-decreasing, ms since epoch, UTC), actions and
+    page_types (ingest's canonical strings), queries and prices (cents), a
+    query or price None where its event has none. purchase is true iff some
+    action is a Purchase.
     """
 
     session_id: str
@@ -28,31 +29,35 @@ class Session:
     customer_id: Optional[str]
     device: str
     channel: str
-    events: tuple
+    timestamps: tuple
+    actions: tuple
+    page_types: tuple
+    queries: tuple
+    prices: tuple
     purchase: bool
     country: str = ""
 
     @property
     def length(self) -> int:
         """Session length: number of actions."""
-        return len(self.events)
+        return len(self.timestamps)
 
     @property
     def start_time(self) -> int:
         """First event's timestamp, ms since epoch, UTC."""
-        return self.events[0].timestamp
+        return self.timestamps[0]
 
     @property
     def end_time(self) -> int:
-        return self.events[-1].timestamp
+        return self.timestamps[-1]
 
     @property
     def n_page_views(self) -> int:
-        return sum(1 for e in self.events if e.action == "PageView")
+        return self.actions.count("PageView")
 
     @property
     def n_queries(self) -> int:
-        return sum(1 for e in self.events if e.action == "Query")
+        return self.actions.count("Query")
 
 
 class HistorySummary(NamedTuple):
@@ -82,12 +87,8 @@ def dwell_times(s: Session) -> list[float]:
     The final action of a session has no successor and is excluded, so a
     single-page-view session yields [].
     """
-    out = []
-    evs = s.events
-    for i in range(len(evs) - 1):
-        if evs[i].action == "PageView":
-            out.append((evs[i + 1].timestamp - evs[i].timestamp) / 1000.0)
-    return out
+    ts = s.timestamps
+    return [(b - a) / 1000.0 for a, b, action in zip(ts, ts[1:], s.actions) if action == "PageView"]
 
 
 def _switch_probability(devices) -> float:
@@ -135,35 +136,29 @@ def session_to_json(s: Session) -> str:
         "start_ms": s.start_time,
         "purchase": s.purchase,
         "country": s.country,
-        "events": [
-            [e.timestamp, e.action, e.page_type, e.query_text, e.price]
-            for e in s.events
-        ],
+        "events": list(zip(s.timestamps, s.actions, s.page_types, s.queries, s.prices)),
     }
     return compact_json(rec)
 
 
 def session_from_json(line: str) -> Session:
-    """Decode one sessions.jsonl record. Values must be the canonical ones
-    the writer emits: an empty event list, a value of another JSON type, a
-    negative start_ms, a start_ms other than the first event's timestamp or
-    event timestamps that decrease or a purchase flag that disagrees with
-    the events' Purchase actions raise MalformedLine, and a device, channel,
-    action or page type outside ingest's alphabets UnknownEnum."""
+    """Decode one sessions.jsonl record, transposing its events into the
+    Session's columns. Values must be the canonical ones the writer emits:
+    an empty event list, a value of another JSON type, a negative start_ms,
+    a start_ms other than the first event's timestamp or event timestamps
+    that decrease or a purchase flag that disagrees with the events'
+    Purchase actions raise MalformedLine, events that are not all rows of
+    five fields ValueError or TypeError, and a device, channel, action or
+    page type outside ingest's alphabets UnknownEnum."""
     rec = json.loads(line)
-    canonical = _CANONICAL.get
+    if not rec["events"]:
+        raise MalformedLine("session has no events")
+    stamps, actions, page_types, queries, prices = zip(*rec["events"], strict=True)
+    actions = tuple(map(_CANONICAL.get, actions, actions))
+    page_types = tuple(map(_CANONICAL.get, page_types, page_types))
     country = rec.get("country", "")
     token, customer = rec["client_token"], rec["customer_id"]
     device, channel = rec["device"], rec["channel"]
-    events = tuple([
-        RawEvent(ts, token, customer, device, channel, canonical(action, action),
-                 canonical(page_type, page_type), query, price, country)
-        for ts, action, page_type, query, price in rec["events"]
-    ])
-    if not events:
-        raise MalformedLine("session has no events")
-    stamps = [e.timestamp for e in events]
-    actions = {e.action for e in events}
     # the exact types session_to_json writes, so a bool is not an int
     for what, found, allowed in (
         ("session_id", {type(rec["session_id"])}, (str,)),
@@ -173,8 +168,8 @@ def session_from_json(line: str) -> Session:
         ("purchase", {type(rec["purchase"])}, (bool,)),
         ("country", {type(country)}, (str,)),
         ("timestamp", set(map(type, stamps)), (int,)),
-        ("query", {type(e.query_text) for e in events}, (str, NoneType)),
-        ("price", {type(e.price) for e in events}, (int, NoneType)),
+        ("query", set(map(type, queries)), (str, NoneType)),
+        ("price", set(map(type, prices)), (int, NoneType)),
     ):
         wrong = found.difference(allowed)
         if wrong:
@@ -183,8 +178,8 @@ def session_from_json(line: str) -> Session:
     for what, values, alphabet in (
         ("device", {device}, DEVICES),
         ("channel", {channel}, CHANNELS),
-        ("action", actions, ACTIONS),
-        ("page_type", {e.page_type for e in events}, PAGE_TYPES),
+        ("action", set(actions), ACTIONS),
+        ("page_type", set(page_types), PAGE_TYPES),
     ):
         unknown = values.difference(alphabet)
         if unknown:
@@ -194,7 +189,7 @@ def session_from_json(line: str) -> Session:
         raise MalformedLine(f"negative start_ms {rec['start_ms']}")
     if rec["start_ms"] != stamps[0]:
         raise MalformedLine(f"start_ms {rec['start_ms']} is not the first event's timestamp {stamps[0]}")
-    if stamps != sorted(stamps):
+    if list(stamps) != sorted(stamps):
         raise MalformedLine("event timestamps decrease")
     if rec["purchase"] != ("Purchase" in actions):
         raise MalformedLine(f"purchase is {json.dumps(rec['purchase'])} but "
@@ -205,7 +200,11 @@ def session_from_json(line: str) -> Session:
         customer_id=customer,
         device=device,
         channel=channel,
-        events=events,
+        timestamps=stamps,
+        actions=actions,
+        page_types=page_types,
+        queries=queries,
+        prices=prices,
         purchase=rec["purchase"],
         country=country,
     )

@@ -85,16 +85,34 @@ def mk_session(
     channel=None,
     purchase=None,
 ):
+    """A Session holding the given RawEvents' columns."""
     events = tuple(events)
+    actions = tuple(e.action for e in events)
     return Session(
         session_id=session_id,
         client_token=events[0].client_token,
         customer_id=customer,
         device=device or events[0].device,
         channel=channel or events[0].channel,
-        events=events,
-        purchase=any(e.action == "Purchase" for e in events) if purchase is None else purchase,
+        timestamps=tuple(e.timestamp for e in events),
+        actions=actions,
+        page_types=tuple(e.page_type for e in events),
+        queries=tuple(e.query_text for e in events),
+        prices=tuple(e.price for e in events),
+        purchase="Purchase" in actions if purchase is None else purchase,
         country=events[0].country,
+    )
+
+
+def events_of(s):
+    """A session's events rebuilt as RawEvents from its columns, each
+    carrying the session's token, customer, device, channel and country."""
+    return tuple(
+        RawEvent(ts, s.client_token, s.customer_id, s.device, s.channel, action, page, query, price,
+                 s.country)
+        for ts, action, page, query, price in zip(
+            s.timestamps, s.actions, s.page_types, s.queries, s.prices, strict=True
+        )
     )
 
 
@@ -156,7 +174,7 @@ def session_signatures(sessions):
         (
             s.client_token,
             s.start_time,
-            tuple(e.timestamp for e in s.events),
+            tuple(e.timestamp for e in events_of(s)),
             s.customer_id,
             s.purchase,
         )
@@ -223,11 +241,12 @@ def reference_row(s, journey, step, setting, variant, ctx):
     against brute_force_chain_probs."""
     dwells = []
     pages = []
-    for i, e in enumerate(s.events):
+    events = events_of(s)
+    for i, e in enumerate(events):
         if e.action != "PageView":
             continue
-        if len(pages) < step and i + 1 < len(s.events):
-            dwells.append((s.events[i + 1].timestamp - e.timestamp) / 1000.0)
+        if len(pages) < step and i + 1 < len(events):
+            dwells.append((events[i + 1].timestamp - e.timestamp) / 1000.0)
         pages.append(e.page_type)
     mean = sum(dwells) / len(dwells) if dwells else 0.0
     std = math.sqrt(sum((d - mean) ** 2 for d in dwells) / len(dwells)) if dwells else 0.0
@@ -242,7 +261,7 @@ def reference_row(s, journey, step, setting, variant, ctx):
         row.append(ctx.device_conversion.get(s.device, ctx.global_conversion))
     if setting == "identified":
         prior = sorted(
-            (p for p in journey if p.events[-1].timestamp < s.start_time),
+            (p for p in journey if events_of(p)[-1].timestamp < s.start_time),
             key=lambda p: (p.start_time, p.session_id),
         )
         orders = 0
@@ -250,7 +269,7 @@ def reference_row(s, journey, step, setting, variant, ctx):
         for p in prior:
             if p.purchase:
                 orders += 1
-                end = p.events[-1].timestamp
+                end = events_of(p)[-1].timestamp
                 if last_purchase_end is None or end > last_purchase_end:
                     last_purchase_end = end
         days = -1.0 if last_purchase_end is None else (s.start_time - last_purchase_end) / DAY_MS

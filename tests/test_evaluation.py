@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     brute_force_prf,
+    events_of,
     fold_artifacts,
     generate_sessions,
     mk_event,
@@ -194,7 +195,7 @@ def test_journeys_built_once_and_filtered_per_fold(monkeypatch):
     monkeypatch.setattr(evaluation, "fit_feature_context", capturing_fit)
     # sessions below the page filter are history only, never protocol rows
     short = [
-        mk_session(s.events, session_id=f"short{i}", customer=s.customer_id)
+        mk_session(events_of(s), session_id=f"short{i}", customer=s.customer_id)
         for i, s in enumerate(_corpus(np.random.default_rng(51), n_sessions=12, n_pages=2))
     ]
     sessions = _corpus(np.random.default_rng(50), n_sessions=36) + short
@@ -231,7 +232,7 @@ def test_page_chains_are_summed_builder_counts(monkeypatch):
         folds.append({"fits": 0})
         ctx = real_context(builder, train_rows, train_journeys)
         for label, chain in ((True, ctx.page_chain_purchase), (False, ctx.page_chain_nonpurchase)):
-            pages = [[e.page_type for e in s.events if e.action == "PageView"]
+            pages = [[e.page_type for e in events_of(s) if e.action == "PageView"]
                      for s in (builder.sessions[i] for i in train_rows) if s.purchase == label]
             want = real_fit(pages, PAGE_TYPES)
             folds[-1][label] = (chain.alphabet == want.alphabet and chain.counts.dtype == want.counts.dtype
@@ -243,7 +244,7 @@ def test_page_chains_are_summed_builder_counts(monkeypatch):
     monkeypatch.setattr(evaluation, "fit_feature_context", checked_context)
     # every fourth event a basket action, so not every event is a page view
     sessions = [
-        mk_session([e._replace(action="AddToBasket") if k % 4 == 3 else e for k, e in enumerate(s.events)],
+        mk_session([e._replace(action="AddToBasket") if k % 4 == 3 else e for k, e in enumerate(events_of(s))],
                    session_id=s.session_id, customer=s.customer_id)
         for s in _corpus(np.random.default_rng(52), n_sessions=36)
     ]
@@ -293,11 +294,11 @@ def test_failed_cells_reported_not_fatal():
     sessions = _corpus(rng, n_sessions=40)
     # exactly one positive: one fold's training set is single-class
     for i, s in enumerate(sessions):
-        events = tuple(e for e in s.events if e.action != "Purchase")
+        events = tuple(e for e in events_of(s) if e.action != "Purchase")
         sessions[i] = mk_session(events, session_id=s.session_id, customer=s.customer_id,
                                  device=s.device, channel=s.channel)
     buy = sessions[0]
-    events = buy.events + (mk_event(buy.events[-1].timestamp + MS, token=buy.client_token,
+    events = events_of(buy) + (mk_event(events_of(buy)[-1].timestamp + MS, token=buy.client_token,
                                     customer=buy.customer_id, device=buy.device,
                                     channel=buy.channel, action="Purchase", page="checkout"),)
     sessions[0] = mk_session(events, session_id=buy.session_id, customer=buy.customer_id,
@@ -324,7 +325,7 @@ def test_min_pages_filter_applied():
     long_sessions = _corpus(rng, n_sessions=40, n_pages=15)
     short_sessions = _corpus(rng, n_sessions=40, n_pages=2)
     for i, s in enumerate(short_sessions):
-        short_sessions[i] = mk_session(s.events, session_id=f"short{i}",
+        short_sessions[i] = mk_session(events_of(s), session_id=f"short{i}",
                                        customer=s.customer_id, device=s.device, channel=s.channel)
     cfg = ProtocolConfig(steps=(0, 1), folds=4, settings=("anonymous",), models=("rf",),
                          seed=6, train=_small_train())
@@ -354,7 +355,7 @@ def test_fold_artifacts_ignore_heldout_mutations():
                          device=e.device, channel=e.channel, action=e.action,
                          page="other" if e.action == "PageView" else e.page_type,
                          query=e.query_text, price=e.price)
-                for e in s.events
+                for e in events_of(s)
             )
             mutated.append(mk_session(events, session_id=s.session_id, customer=s.customer_id,
                                       device=s.device, channel=s.channel))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import DAY_MS, MS, fitted_state, mk_event, mk_session, reference_row, static_mask
+from helpers import DAY_MS, MS, events_of, fitted_state, mk_event, mk_session, reference_row, static_mask
 from shopstream import markov
 from shopstream.features import (
     DYNAMIC_FEATURES,
@@ -155,7 +155,7 @@ def test_extract_reads_nothing_past_step(ctx):
     # frontier at step 3 is event index 3; everything beyond may change freely
     times = list(range(0, 140, 10))
     s1 = _session(times, sid="same")
-    events = list(s1.events[:4])
+    events = list(events_of(s1)[:4])
     t = events[-1].timestamp
     for i in range(8):
         t += (37 + 11 * i) * MS

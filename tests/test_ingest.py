@@ -1,5 +1,6 @@
 import codecs
 import gzip
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from helpers import (
     IDLE_MS,
     MINUTE,
     brute_force_sessionize,
+    events_of,
     mk_event,
     random_event_stream,
     session_signatures,
@@ -123,7 +125,7 @@ def test_raw_event_is_an_immutable_hashable_record():
                        "price=None, country='')")
     assert hash(e) == hash(RawEvent(1, "c", None, "PC", "Direct", "PageView", "home"))
     (s,) = sessionize([e, RawEvent(2, "c", None, "PC", "Direct", "Purchase", "checkout")])
-    assert hash(s) == hash(sessionize(list(s.events))[0])
+    assert hash(s) == hash(sessionize(list(events_of(s)))[0])
 
 
 def test_read_events_share_strings(tmp_path):
@@ -248,7 +250,7 @@ def test_filter_mixed_stream_order_preserved():
 def test_sessionize_splits_on_gap():
     events = [mk_event(0), mk_event(10 * MINUTE), mk_event(45 * MINUTE), mk_event(46 * MINUTE)]
     sessions = sessionize(events)
-    assert [len(s.events) for s in sessions] == [2, 2]
+    assert [len(events_of(s)) for s in sessions] == [2, 2]
 
 
 def test_sessionize_keeps_boundary_gap():
@@ -267,8 +269,21 @@ def test_sessionize_late_login_assigns_customer():
     events.append(mk_event(3000, customer="u7"))
     (session,) = sessionize(events)
     assert session.customer_id == "u7"
-    assert len(session.events) == 4
-    assert [e.customer_id for e in session.events] == ["u7"] * 4
+    assert len(events_of(session)) == 4
+
+
+def test_sessionize_releases_its_events():
+    """No RawEvent outlives sessionize: the list it is given is emptied, and
+    every session holds columns of plain values, not events."""
+    events = random_event_stream(np.random.default_rng(5), max_events=200)
+    sessions = sessionize(events)
+    assert sessions and events == []
+    for s in sessions:
+        for field in fields(s):
+            value = getattr(s, field.name)
+            assert not isinstance(value, RawEvent), field.name
+            if isinstance(value, tuple):
+                assert not any(isinstance(v, RawEvent) for v in value), field.name
 
 
 def test_sessionize_purchase_label():
@@ -306,7 +321,7 @@ def test_sessionize_matches_brute_force_on_random_streams():
     rng = np.random.default_rng(1234)
     for _ in range(60):
         events = random_event_stream(rng, max_events=120)
-        got = session_signatures(sessionize(events))
+        got = session_signatures(sessionize(list(events)))  # sessionize empties its list
         want = brute_force_sessionize(events)
         assert got == want
 

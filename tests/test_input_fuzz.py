@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shopstream.cli import main
-from shopstream.ingest import IngestError, read_events
+from shopstream.ingest import IngestError, MalformedLine, read_events
 from shopstream.sessions import read_sessions, session_from_json, session_to_json
 from shopstream.synthgen import GenConfig, generate
 
@@ -153,6 +153,32 @@ def test_mutated_inputs_raise_only_ingest_errors(corpus, tmp_path, seed):
         for _ in range(N_MUTATIONS):
             index = int(rng.integers(len(sessions)))
             _raises_on_line(read_sessions, jsonl, sessions, index, mutate(sessions[index]))
+
+
+# records whose events all share one wrong shape, and a ragged one that a
+# transpose without a length check would truncate to five fields
+_EVENT_SHAPES = {
+    "four_fields": lambda events: [e[:4] for e in events],
+    "six_fields": lambda events: [e + [None] for e in events],
+    "one_six_fields": lambda events: [events[0] + [None], *events[1:]],
+    "number_event": lambda events: [5, *events[1:]],
+    "string_events": lambda events: ["abcde"] * len(events),
+    "string_event": lambda events: [*events[:-1], "abcde"],
+    "object_events": lambda events: [dict(zip("abcde", e)) for e in events],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_EVENT_SHAPES))
+def test_events_of_the_wrong_shape_name_their_line(corpus, tmp_path, shape):
+    _, sessions = corpus
+    index = len(sessions) // 2
+    record = json.loads(sessions[index])
+    record["events"] = _EVENT_SHAPES[shape](record["events"])
+    path = tmp_path / "sessions.jsonl"
+    path.write_text("\n".join(sessions[:index] + [json.dumps(record)] + sessions[index + 1:]) + "\n")
+    with pytest.raises(MalformedLine) as err:
+        read_sessions(path)
+    assert err.value.line_no == index + 1
 
 
 def test_session_json_round_trip(corpus):

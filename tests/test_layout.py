@@ -66,3 +66,14 @@ def test_guard_sees_definitions_and_references():
     )
     assert sorted(name for name, _ in _definitions(tree)) == ["A", "B", "C", "f", "g", "m"]
     assert {"path", "A", "self", "n"} <= set(_references(tree))
+
+
+def test_raw_event_stays_inside_ingest():
+    """RawEvent is ingest's parse record; sessions and everything after them
+    read a Session's columns instead."""
+    users = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "RawEvent" in set(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
+    assert users == ["shopstream/ingest.py"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import MS, generate_sessions, mk_event, mk_session, pageview_session
+from helpers import MS, events_of, generate_sessions, mk_event, mk_session, pageview_session
 from shopstream.features import StepMatrixBuilder, feature_names, fit_feature_context
 from shopstream.ingest import ACTIONS, PAGE_TYPES
 from shopstream.sessions import (
@@ -188,7 +188,7 @@ def test_history_snapshot_matches_recount():
     j = _journey(devices, purchases=purchases, day_starts=list(range(20)))
     at = 10 * DAY_MS + 30 * MS  # mid-window cut
     hist = history_snapshot(j, at)
-    prior = [s for s in j if s.events[-1].timestamp < at]
+    prior = [s for s in j if events_of(s)[-1].timestamp < at]
     assert hist.n_sessions == len(prior)
     assert hist.orders == sum(1 for s in prior if s.purchase)
     assert hist.n_devices == len({s.device for s in prior})
@@ -224,9 +224,9 @@ def test_session_json_round_trip(tmp_path):
     assert back.session_id == s.session_id
     assert back.customer_id == "u1"
     assert back.purchase
-    assert [e.timestamp for e in back.events] == [e.timestamp for e in s.events]
-    assert back.events[1].query_text == "shoes"
-    assert back.events[2].price == 1999
+    assert [e.timestamp for e in events_of(back)] == [e.timestamp for e in events_of(s)]
+    assert events_of(back)[1].query_text == "shoes"
+    assert events_of(back)[2].price == 1999
 
     path = tmp_path / "sessions.jsonl"
     write_sessions(path, [s, s])
@@ -235,8 +235,8 @@ def test_session_json_round_trip(tmp_path):
 
 
 def test_ingested_sessions_round_trip_through_json():
-    # late logins included: every event of an identified session carries
-    # its session's customer, as the reader gives it
+    # late logins included: a session's customer is that of its first
+    # logged-in event, which the record stores once
     sessions, _ = generate_sessions(GenConfig(seed=7, n_customers=300))
     for s in sessions:
         assert session_from_json(session_to_json(s)) == s, s.session_id
@@ -248,6 +248,6 @@ def test_read_sessions_shares_alphabet_strings(tmp_path):
     path = tmp_path / "sessions.jsonl"
     write_sessions(path, [mk_session(events)] * 2)
     for s in read_sessions(path):
-        for e in s.events:
+        for e in events_of(s):
             assert e.action is ACTIONS[ACTIONS.index(e.action)]
             assert e.page_type is PAGE_TYPES[PAGE_TYPES.index(e.page_type)]

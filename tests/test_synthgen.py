@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     DEVICE_TRANSITIONS_EXAMPLE,
     event_to_tsv,
+    events_of,
     generate_sessions,
     parsed_events,
     plant_signal,
@@ -241,7 +242,7 @@ def test_round_trip_small():
     by_key = {(t["client_token"], t["start_ms"]): t for t in truth}
     for s in sessions:
         t = by_key[(s.client_token, s.start_time)]
-        assert t["n_events"] == len(s.events)
+        assert t["n_events"] == len(events_of(s))
         assert t["purchase"] == s.purchase
         assert t["customer_id"] == s.customer_id
         assert t["device"] == s.device and t["channel"] == s.channel
@@ -252,7 +253,7 @@ def test_intra_and_inter_session_gaps():
     sessions, _ = generate_sessions(cfg)
     idle = 30 * 60 * 1000
     for s in sessions:
-        ts = [e.timestamp for e in s.events]
+        ts = [e.timestamp for e in events_of(s)]
         assert all(b - a <= idle for a, b in zip(ts, ts[1:]))
     by_token = {}
     for s in sessions:
