@@ -106,7 +106,6 @@ class StepReport:
 @dataclass
 class ProtocolReport:
     rows: list
-    names: dict  # (setting, variant) -> feature names
 
     def step_report_csv(self) -> str:
         lines = ["model,setting,variant,step,f1_mean,f1_std,precision,recall"]
@@ -123,7 +122,7 @@ class ProtocolReport:
         for r in self.rows:
             if r.variant != "extended":
                 continue
-            for name, value in zip(self.names[(r.setting, "extended")], r.importance):
+            for name, value in zip(feature_names(r.setting, "extended"), r.importance):
                 lines.append(f"{r.model},{r.setting},{r.step},{name},{value:.6f}")
         return "\n".join(lines) + "\n"
 
@@ -220,7 +219,6 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
     sessions = list(sessions)
     journeys = build_journeys(sessions)
     rows = []
-    names = {}
     nan = float("nan")
     for setting in cfg.settings:
         pool, folds = _folds(sessions, setting, cfg)
@@ -230,13 +228,12 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
             for fold_index, fold_ids in enumerate(folds)
         ]
         for variant in cfg.variants:
-            names[setting, variant] = feature_names(setting, variant)
             for step in cfg.steps:
                 for kind in cfg.models:
                     results = [cells[kind, variant, step] for cells in fold_cells]
                     ok = [r for r in results if not isinstance(r, str)]
                     precision, recall, f1, imp = zip(*ok) if ok else (
-                        (nan,), (nan,), (nan,), [np.zeros(len(names[setting, variant]))]
+                        (nan,), (nan,), (nan,), [np.zeros(len(feature_names(setting, variant)))]
                     )
                     rows.append(
                         StepReport(
@@ -248,4 +245,4 @@ def run_protocol(sessions, cfg: ProtocolConfig) -> ProtocolReport:
                             n_folds=len(ok), errors=[r for r in results if isinstance(r, str)],
                         )
                     )
-    return ProtocolReport(rows=rows, names=names)
+    return ProtocolReport(rows=rows)

@@ -133,8 +133,8 @@ class StepMatrixBuilder:
 
     The constructor computes what depends on the sessions alone, once:
     labels, dwell prefix statistics, page-type pairs and transition counts,
-    and the channel/hour/weekday/device block. fold() computes the columns
-    fitted on a fold for some of the sessions, and matrix() stacks both.
+    the channel/hour/weekday/device block and each variant's columns. fold()
+    adds the columns fitted on a fold, and matrix() cuts a (step, variant) out.
 
     Dwell statistics use the population (divide-by-n) standard deviation and
     an expanding window over the pages seen so far. The dwell of a session's
@@ -146,6 +146,8 @@ class StepMatrixBuilder:
         self.sessions = list(sessions)
         self.setting = setting
         self.steps = list(steps)
+        extended = feature_names(setting, "extended")
+        self.columns = {v: np.array([extended.index(f) for f in feature_names(setting, v)]) for v in VARIANTS}
         n = len(self.sessions)
         self.labels = np.array([1 if s.purchase else 0 for s in self.sessions], dtype=np.int64)
         # per (session, step): dwell mean, dwell std, n_pages, dwell count
@@ -176,42 +178,36 @@ class StepMatrixBuilder:
             self.page_counts[i].flat = np.bincount(codes[:-1] * n_types + codes[1:], minlength=n_types**2)
             self.static[i] = _session_columns(s)
 
-    def fold(self, rows, journeys, ctx: FeatureContext) -> dict:
-        """Columns fitted on a fold for the sessions at rows: the page-sequence
-        score at every step, the device conversion rate (the global rate for
-        a device the training fold lacks) and, when identified, the history
-        block with each session's history read from journeys."""
+    def fold(self, rows, journeys, ctx: FeatureContext):
+        """(X, y) of the sessions at rows, X[r, c] in feature_names(setting,
+        "extended") order at steps[c]. Fitted on the fold: the page-sequence
+        score, the device conversion rate (the global rate for a device the
+        training fold lacks) and, when identified, the history block with each
+        session's history read from journeys."""
         rows = np.asarray(rows, dtype=np.int64)
         lp = ctx.page_chain_purchase._log_probs
         ln = ctx.page_chain_nonpurchase._log_probs
         a, b = self.pairs[0, rows], self.pairs[1, rows]
         csum = np.concatenate([np.zeros((len(rows), 1)), np.cumsum(lp[a, b] - ln[a, b], axis=1)], axis=1)
         t = self.n_scored
-        fitted = {
-            "rows": rows,
-            "score": csum[:, t] / np.maximum(t, 1),  # 0 at t = 0
-            "conversion": np.array(
-                [ctx.device_conversion.get(self.sessions[i].device, ctx.global_conversion) for i in rows]
-            ).reshape(-1, 1),
-        }
+        score = csum[:, t] / np.maximum(t, 1)  # 0 at t = 0
+        conversion = [ctx.device_conversion.get(self.sessions[i].device, ctx.global_conversion) for i in rows]
+        per_session = [self.static[rows], np.reshape(conversion, (-1, 1))]
         if self.setting == "identified":
-            fitted["history"] = np.zeros((len(rows), len(HISTORY_FEATURES)))
+            history = np.zeros((len(rows), len(HISTORY_FEATURES)))
             for r, i in enumerate(rows):
                 s = self.sessions[i]
                 j = journeys.get(s.customer_id)
                 if j is None:
                     raise MissingJourney(f"no journey for session {s.session_id}")
-                fitted["history"][r] = _history_columns(s, j, ctx)
-        return fitted
+                history[r] = _history_columns(s, j, ctx)
+            per_session.append(history)
+        dynamic = np.insert(self.dyn[rows], DYNAMIC_FEATURES.index("page_sequence_score"), score, axis=2)
+        per_step = np.hstack(per_session)[:, None].repeat(len(self.steps), axis=1)
+        return np.concatenate([dynamic, per_step], axis=2), self.labels[rows]
 
-    def matrix(self, step: int, variant: str, fold: dict):
-        """(X, y) of fold's rows at one step; column order matches feature_names()."""
-        c = self.steps.index(step)
-        rows = fold["rows"]
-        dyn = self.dyn[rows, c]
-        blocks = [dyn[:, :2], fold["score"][:, c : c + 1], dyn[:, 2:]]
-        if variant == "extended":
-            blocks += [self.static[rows], fold["conversion"]]
-        if self.setting == "identified":
-            blocks.append(fold["history"] if variant == "extended" else fold["history"][:, :2])
-        return np.hstack(blocks), self.labels[rows]
+    def matrix(self, step: int, variant: str, fold):
+        """(X, y) of fold's rows at one step, in feature_names(setting, variant)
+        order; X is C-contiguous, as BLAS rounds an F-ordered X differently."""
+        X, y = fold
+        return X[:, self.steps.index(step)].take(self.columns[variant], axis=1), y

@@ -164,24 +164,26 @@ class GenConfig:
     history_seed_sessions: bool = False
 
     def __post_init__(self):
-        """Raise InvalidConfig naming the first bad key. Mixes and chain rows
-        are probabilities over known keys that sum to 1; query rates are per
-        known device; every number is finite and in its key's range."""
+        """Raise InvalidConfig naming the first bad key. Mixes, chain rows and
+        query rates map known keys, weekday vectors are lists, probabilities
+        sum to 1, every number is finite and in its key's range, and the flag
+        is a bool."""
         def check_mix(name, mix, keys=None):
-            vals = list(mix.values() if isinstance(mix, Mapping) else mix)
+            # a mix over keys is a mapping; a weekday vector is not one
+            if isinstance(mix, Mapping) != bool(keys):
+                raise InvalidConfig(name, "expected a mapping" if keys else "expected a list")
+            vals = list(mix.values() if keys else mix)
             check_numbers(name, vals, 0, 1)
             total = sum(vals)
             if abs(total - 1.0) > 1e-9:
                 raise InvalidConfig(name, f"probabilities sum to {total:.6f}, expected 1")
-            if keys is not None and isinstance(mix, Mapping):
+            if keys:
                 check_known(name, mix, keys)
 
         def check_chain(name, chain, states):
             if not isinstance(chain, Mapping) or set(chain) != set(states):
                 raise InvalidConfig(name, f"expected one row for each of {list(states)}")
             for src, row in chain.items():
-                if not isinstance(row, Mapping):
-                    raise InvalidConfig(f"{name}[{src}]", "expected a mapping")
                 check_mix(f"{name}[{src}]", row, states)
 
         check_mix("purchase_channel_mix", self.purchase_channel_mix, CHANNELS)
@@ -197,6 +199,8 @@ class GenConfig:
             check_chain("device_transitions", self.device_transitions, DEVICES)
         for name in ("purchase_query_rates", "nonpurchase_query_rates"):
             rates = getattr(self, name)
+            if not isinstance(rates, Mapping):
+                raise InvalidConfig(name, "expected a mapping")
             check_known(name, rates, DEVICES)
             # a session holds at most MAX_SESSION_EVENTS events, queries included
             check_numbers(name, rates.values(), 0, MAX_SESSION_EVENTS)
@@ -218,6 +222,8 @@ class GenConfig:
             ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
             check_numbers(name, [getattr(self, name)], low, high)
+        if not isinstance(self.history_seed_sessions, bool):
+            raise InvalidConfig("history_seed_sessions", f"expected a bool, got {self.history_seed_sessions!r}")
         # checked, so read-only: a mix changed after this could sum to anything
         for f in fields(self):
             value = getattr(self, f.name)

@@ -24,6 +24,7 @@ from shopstream.evaluation import (
     kfold_split,
     run_protocol,
 )
+from shopstream.features import feature_names
 from shopstream.ingest import CHANNELS, DEVICES, PAGE_TYPES, BotFilterConfig, InvalidConfig
 from shopstream.models import LengthMismatch, TrainConfig
 from shopstream.synthgen import GenConfig
@@ -152,9 +153,9 @@ def test_run_protocol_shapes_all_models():
     for row in report.rows:
         assert row.n_folds == 3, (row.model, row.errors)
         assert 0.0 <= row.f1_mean <= 1.0
-        assert row.importance.shape == (len(report.names[(row.setting, row.variant)]),)
+        assert row.importance.shape == (len(feature_names(row.setting, row.variant)),)
     # baseline columns are a strict subset of extended columns
-    assert set(report.names[("anonymous", "baseline")]) < set(report.names[("anonymous", "extended")])
+    assert set(feature_names("anonymous", "baseline")) < set(feature_names("anonymous", "extended"))
 
 
 def test_one_step_matrix_builder_per_setting(monkeypatch):
@@ -442,5 +443,5 @@ def test_csv_outputs_shape():
     assert step_lines[0] == "model,setting,variant,step,f1_mean,f1_std,precision,recall"
     assert len(step_lines) == 1 + 2 * 2  # variants x steps
     imp_lines = report.importance_csv().strip().splitlines()
-    n_features = len(report.names[("anonymous", "extended")])
+    n_features = len(feature_names("anonymous", "extended"))
     assert len(imp_lines) == 1 + 2 * n_features  # extended rows only, per step

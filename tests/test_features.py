@@ -250,6 +250,30 @@ def test_builder_fold_rows_match_reference_with_their_journeys():
                         assert np.allclose(X[r], ref, atol=1e-12), (setting, variant, step, i)
 
 
+def test_variant_matrix_is_extended_columns_by_name():
+    # a fold is one (rows, steps, features) array in extended order; each
+    # variant's matrix is its feature_names columns, as a C-contiguous copy
+    rng = np.random.default_rng(77)
+    sessions = _random_corpus(rng, 24)
+    journeys = build_journeys(sessions)
+    ctx = _context(sessions, journeys)
+    steps = (0, 3, 10)
+    for setting in ("anonymous", "identified"):
+        pool = sessions if setting == "anonymous" else [s for s in sessions if s.customer_id]
+        builder = StepMatrixBuilder(pool, setting, steps)
+        fold = builder.fold(np.arange(len(pool)), journeys, ctx)
+        extended = feature_names(setting, "extended")
+        assert fold[0].shape == (len(pool), len(steps), len(extended))
+        for step in steps:
+            X_ext, _ = builder.matrix(step, "extended", fold)
+            for variant in ("baseline", "extended"):
+                X, y = builder.matrix(step, variant, fold)
+                assert X.flags.c_contiguous, (setting, variant, step)
+                cols = [extended.index(name) for name in feature_names(setting, variant)]
+                assert np.array_equal(X, X_ext[:, cols]), (setting, variant, step)
+                assert np.array_equal(y, [1 if s.purchase else 0 for s in pool])
+
+
 def test_builder_errors():
     rng = np.random.default_rng(9)
     sessions = _random_corpus(rng, 4, customer_share=0.0)

@@ -156,6 +156,15 @@ def test_invalid_config_names_key():
         GenConfig(min_session_length=1)
     with pytest.raises(InvalidConfig, match="purchase_query_rates"):
         GenConfig(purchase_query_rates={"PC": -1.0})
+    # wrongly typed values the CLI's JSON type check would catch
+    with pytest.raises(InvalidConfig, match="purchase_weekdays"):
+        GenConfig(purchase_weekdays={i: 1 / 7 for i in range(7)})
+    with pytest.raises(InvalidConfig, match="purchase_channel_mix"):
+        GenConfig(purchase_channel_mix=[0.25] * 4)
+    with pytest.raises(InvalidConfig, match="nonpurchase_query_rates"):
+        GenConfig(nonpurchase_query_rates=["PC"])
+    with pytest.raises(InvalidConfig, match="history_seed_sessions"):
+        GenConfig(history_seed_sessions="no")
 
 
 def test_built_config_mappings_are_read_only():
