@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 
 from . import __version__
 from .analytics import (
@@ -90,23 +90,13 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def _dataclass_from_dict(cls, data: dict):
-    """Build cls from settings. An unknown key, or a value whose JSON type is
-    not that of the field's default (a list for a tuple or frozenset; any
-    value for None), is a usage error; lists become tuples."""
-    defaults = {
-        f.name: f.default if f.default is not MISSING else f.default_factory()
-        for f in dataclass_fields(cls)
-    }
-    for key, value in data.items():
-        if key not in defaults:
+    """Build cls from settings. An unknown key is a usage error; cls checks
+    each value's kind, range and names itself when it is built."""
+    known = {f.name for f in dataclass_fields(cls)}
+    for key in data:
+        if key not in known:
             raise InvalidConfig(key, f"unknown {cls.__name__} option")
-        default = defaults[key]
-        want = list if isinstance(default, (tuple, frozenset)) else type(default)
-        # exact types: a bool is not an int, but an int is a float
-        ok = type(value) is want or (want is float and type(value) is int)
-        if default is not None and not ok:
-            raise InvalidConfig(key, f"expected {want.__name__}, got {value!r}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    return cls(**data)
 
 
 def _sha256(path: str) -> str:
@@ -322,16 +312,14 @@ def cmd_analyze(args) -> int:
 def _protocol_from_config(raw: dict):
     """TrainConfig fields go to train, the rest to ProtocolConfig. The
     protocol sets kind and seed per cell, so neither they nor train itself
-    can be set."""
+    can be set: a train setting is not a TrainConfig."""
     from .evaluation import ProtocolConfig
     from .models import TrainConfig
 
     train_keys = {f.name for f in dataclass_fields(TrainConfig)} - {"kind", "seed"}
+    train = _dataclass_from_dict(TrainConfig, {k: v for k, v in raw.items() if k in train_keys})
     proto = {k: v for k, v in raw.items() if k not in train_keys}
-    if "train" in proto:
-        raise InvalidConfig("train", "set training options by name")
-    proto["train"] = _dataclass_from_dict(TrainConfig, {k: v for k, v in raw.items() if k in train_keys})
-    return _dataclass_from_dict(ProtocolConfig, proto)
+    return _dataclass_from_dict(ProtocolConfig, {"train": train, **proto})
 
 
 def cmd_evaluate(args) -> int:

@@ -21,7 +21,7 @@ from .features import (
     feature_names,
     fit_feature_context,
 )
-from .ingest import InvalidConfig, TooFewSessions, check_known, check_numbers
+from .ingest import InvalidConfig, TooFewSessions, check_fields, check_known, check_numbers
 from .models import (
     MODEL_KINDS,
     SCALED_KINDS,
@@ -73,8 +73,9 @@ class ProtocolConfig:
         return max(self.steps) + BUFFER
 
     def __post_init__(self):
-        """Every list is non-empty, without repeats, and holds only known
-        names (steps: non-negative integers); each error names its key."""
+        """Lists are non-empty tuples of known names (steps: non-negative
+        integers) without repeats, and train is a TrainConfig (check_fields)."""
+        check_fields(self)
         check_numbers("folds", [self.folds], 2, math.inf, integral=True)
         check_numbers("seed", [self.seed], 0, math.inf, integral=True)
         check_numbers("steps", self.steps, 0, math.inf, integral=True)
@@ -82,8 +83,6 @@ class ProtocolConfig:
             check_known(key, getattr(self, key), known)
         for key in ("steps", "settings", "variants", "models"):
             values = getattr(self, key)
-            if not values:
-                raise InvalidConfig(key, "expected at least one entry")
             if len(set(values)) < len(values):
                 raise InvalidConfig(key, f"repeated entries in {list(values)}")
 

@@ -18,7 +18,9 @@ import gzip
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEVICES = ("PC", "Smartphone", "Tablet", "GameConsole", "TV")
@@ -80,6 +82,38 @@ def check_known(key: str, values, known) -> None:
             raise InvalidConfig(key, f"unknown entry {v!r}; expected one of {list(known)}")
 
 
+def check_kind(key: str, value, default):
+    """value in the frozen form of its default's kind, else InvalidConfig
+    naming key and showing repr(value). A tuple takes a non-empty list or
+    tuple whose entries have the kind of the default's, a frozenset also a
+    set; a str or a mapping is neither. A dict takes a mapping, stored
+    read-only down to its rows, and so does None, which also takes None. A
+    number passes, for check_numbers to check; any other default takes only
+    its own type."""
+    mapping = default is None or isinstance(default, Mapping)
+    if isinstance(default, (tuple, frozenset)):
+        sets = (set, frozenset) if isinstance(default, frozenset) else ()
+        if isinstance(value, (list, tuple, *sets)):
+            if not value:
+                raise InvalidConfig(key, "expected at least one entry")
+            return type(default)(check_kind(key, v, next(iter(default))) for v in value)
+    elif mapping and isinstance(value, Mapping):
+        return MappingProxyType({k: check_kind(key, v, {}) if isinstance(v, Mapping) else v for k, v in value.items()})
+    elif isinstance(value, type(default)) or isinstance(default, numbers.Real) and not isinstance(default, bool):
+        return value
+    want = "list" if isinstance(default, (tuple, frozenset)) else "mapping" if mapping else type(default).__name__
+    raise InvalidConfig(key, f"expected a {want}, got {value!r}")
+
+
+def check_fields(config) -> None:
+    """Store every field of a settings dataclass in its default's kind
+    (check_kind). Each settings class calls this first in __post_init__:
+    one type rule for the CLI and the Python API alike."""
+    for f in fields(config):
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        object.__setattr__(config, f.name, check_kind(f.name, getattr(config, f.name), default))
+
+
 class TooFewSessions(ValueError):
     """Fewer sessions than the protocol needs; a usage error like
     InvalidConfig, so it lives beside it."""
@@ -126,14 +160,8 @@ class BotFilterConfig:
     allowed_devices: frozenset = frozenset(DEVICES)
 
     def __post_init__(self):
-        for key in ("allowed_countries", "allowed_devices"):
-            value = getattr(self, key)
-            if isinstance(value, str):  # membership would test substrings
-                raise InvalidConfig(key, f"expected a set of names, got {value!r}")
-            if not value:
-                raise InvalidConfig(key, "expected at least one entry")
-        if not all(isinstance(c, str) for c in self.allowed_countries):
-            raise InvalidConfig("allowed_countries", "expected country codes as strings")
+        """Non-empty frozensets of strings (check_fields); devices are known."""
+        check_fields(self)
         check_known("allowed_devices", self.allowed_devices, DEVICES)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ingest import check_known, check_numbers
+from ..ingest import check_fields, check_known, check_numbers
 from .linear import LinearSVM, LogisticRegression
 from .mlp import MLPClassifier
 from .neighbors import KNNClassifier
@@ -66,12 +66,13 @@ class TrainConfig:
     mlp_epochs: int = 300
 
     def __post_init__(self):
-        """kind is a known model kind, and counts and sizes are positive
-        integers; each error names its key. Rates, l2, gbdt depth and the
-        split minimum are constants of the model classes, not settings."""
+        """After check_fields, kind is a known model kind and counts and
+        sizes are positive integers; each error names its key. Rates, l2,
+        gbdt depth and the split minimum are model constants, not settings."""
+        check_fields(self)
         check_known("kind", [self.kind], MODEL_KINDS)
         for key, low in (
-            ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
+            ("seed", 0), ("n_trees", 1), ("gbdt_rounds", 1), ("knn_k", 1), ("epochs", 1),
             ("mlp_epochs", 1), ("hidden", 1), ("max_depth", 1),
             ("min_samples_leaf", 1), ("max_bins", 2),
         ):

@@ -205,12 +205,12 @@ def _grow_trees(
         wr_ = csw - wl
         wrr = cswr - wrl
 
-        valid = (wl > 0) & (wr_ > 0) & feat_ok
-        if min_samples_leaf > 1:
-            hn = np.bincount(key, minlength=size).reshape(shape)
-            nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
-            nr = cnt[cand][:, None, None] - nl
-            valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+        # counts decide: csw and wl round differently, so an empty side's weight can pass 0
+        hn = np.bincount(key, minlength=size).reshape(shape)
+        nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
+        nr = cnt[cand][:, None, None] - nl
+        least = max(1, min_samples_leaf)
+        valid = (nl >= least) & (nr >= least) & feat_ok
         with np.errstate(divide="ignore", invalid="ignore"):
             if criterion == "gini":
                 parent = 2.0 * cswr * (csw - cswr) / csw

@@ -27,16 +27,14 @@ import bisect
 import math
 import os
 from array import array
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from types import MappingProxyType
 
 import numpy as np
 
 from .analytics import _EPOCH_WEEKDAY, CET_OFFSET_MS, MS_PER_DAY, MS_PER_HOUR
-from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, check_known, check_numbers
-from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS
+from .ingest import CHANNELS, DEVICES, IDLE_GAP_MS, PAGE_TYPES, InvalidConfig, check_fields, check_kind
+from .ingest import MAX_SESSION_EVENTS, MIN_SESSION_EVENTS, check_known, check_numbers
 from .sessions import compact_json
 
 MS_PER_SECOND = 1000
@@ -144,15 +142,15 @@ class GenConfig:
     nonpurchase_length_mean: float = 6.16
     length_dispersion: float = 2.0
     min_session_length: int = MIN_SESSION_EVENTS
-    purchase_channel_mix: dict = field(default_factory=lambda: dict(PURCHASE_CHANNEL_MIX))
-    nonpurchase_channel_mix: dict = field(default_factory=lambda: dict(NONPURCHASE_CHANNEL_MIX))
+    purchase_channel_mix: dict = field(default_factory=lambda: PURCHASE_CHANNEL_MIX)
+    nonpurchase_channel_mix: dict = field(default_factory=lambda: NONPURCHASE_CHANNEL_MIX)
     purchase_weekdays: tuple = PURCHASE_WEEKDAYS
     nonpurchase_weekdays: tuple = NONPURCHASE_WEEKDAYS
     device_transitions: dict | None = None  # optional planted chain, overrides mixes
-    purchase_query_rates: dict = field(default_factory=lambda: dict(PURCHASE_QUERY_RATES))
-    nonpurchase_query_rates: dict = field(default_factory=lambda: dict(NONPURCHASE_QUERY_RATES))
-    purchase_page_chain: dict = field(default_factory=lambda: {k: dict(v) for k, v in PURCHASE_PAGE_CHAIN.items()})
-    nonpurchase_page_chain: dict = field(default_factory=lambda: {k: dict(v) for k, v in NONPURCHASE_PAGE_CHAIN.items()})
+    purchase_query_rates: dict = field(default_factory=lambda: PURCHASE_QUERY_RATES)
+    nonpurchase_query_rates: dict = field(default_factory=lambda: NONPURCHASE_QUERY_RATES)
+    purchase_page_chain: dict = field(default_factory=lambda: PURCHASE_PAGE_CHAIN)
+    nonpurchase_page_chain: dict = field(default_factory=lambda: NONPURCHASE_PAGE_CHAIN)
     purchase_dwell_mu: float = DWELL_MU
     dwell_sigma: float = 0.9
     # per-session latent pace: one Bernoulli per session shifts its whole
@@ -164,14 +162,12 @@ class GenConfig:
     history_seed_sessions: bool = False
 
     def __post_init__(self):
-        """Raise InvalidConfig naming the first bad key. Mixes, chain rows and
-        query rates map known keys, weekday vectors are lists, probabilities
-        sum to 1, every number is finite and in its key's range, and the flag
-        is a bool."""
+        """Raise InvalidConfig naming the first bad key. check_fields gives
+        every field its default's kind, mappings read-only (a mix changed later
+        could sum to anything). Mixes, chain rows and query rates map known
+        keys, probabilities sum to 1, and numbers are finite and in range."""
+        check_fields(self)
         def check_mix(name, mix, keys=None):
-            # a mix over keys is a mapping; a weekday vector is not one
-            if isinstance(mix, Mapping) != bool(keys):
-                raise InvalidConfig(name, "expected a mapping" if keys else "expected a list")
             vals = list(mix.values() if keys else mix)
             check_numbers(name, vals, 0, 1)
             total = sum(vals)
@@ -181,10 +177,10 @@ class GenConfig:
                 check_known(name, mix, keys)
 
         def check_chain(name, chain, states):
-            if not isinstance(chain, Mapping) or set(chain) != set(states):
+            if set(chain) != set(states):
                 raise InvalidConfig(name, f"expected one row for each of {list(states)}")
             for src, row in chain.items():
-                check_mix(f"{name}[{src}]", row, states)
+                check_mix(f"{name}[{src}]", check_kind(f"{name}[{src}]", row, {}), states)
 
         check_mix("purchase_channel_mix", self.purchase_channel_mix, CHANNELS)
         check_mix("nonpurchase_channel_mix", self.nonpurchase_channel_mix, CHANNELS)
@@ -199,8 +195,6 @@ class GenConfig:
             check_chain("device_transitions", self.device_transitions, DEVICES)
         for name in ("purchase_query_rates", "nonpurchase_query_rates"):
             rates = getattr(self, name)
-            if not isinstance(rates, Mapping):
-                raise InvalidConfig(name, "expected a mapping")
             check_known(name, rates, DEVICES)
             # a session holds at most MAX_SESSION_EVENTS events, queries included
             check_numbers(name, rates.values(), 0, MAX_SESSION_EVENTS)
@@ -222,18 +216,6 @@ class GenConfig:
             ("dwell_sigma", 0, math.inf), ("dwell_pace_gap", 0, math.inf),
         ):
             check_numbers(name, [getattr(self, name)], low, high)
-        if not isinstance(self.history_seed_sessions, bool):
-            raise InvalidConfig("history_seed_sessions", f"expected a bool, got {self.history_seed_sessions!r}")
-        # checked, so read-only: a mix changed after this could sum to anything
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Mapping):
-                object.__setattr__(self, f.name, _read_only(value))
-
-
-def _read_only(mapping: Mapping) -> MappingProxyType:
-    """A read-only copy of mapping, with every mapping inside it read-only too."""
-    return MappingProxyType({k: _read_only(v) if isinstance(v, Mapping) else v for k, v in mapping.items()})
 
 
 class _Sampler:

@@ -598,12 +598,11 @@ def grow_tree_reference(
         wr_ = csw - wl
         wrr = cswr - wrl
 
-        valid = (wl > 0) & (wr_ > 0) & thr_ok[feats]
-        if min_samples_leaf > 1:
-            hn = np.bincount(key, minlength=size).reshape(shape)
-            nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
-            nr = cnt[cand][:, None, None] - nl
-            valid &= (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+        hn = np.bincount(key, minlength=size).reshape(shape)
+        nl = np.cumsum(hn, axis=2)[:, :, :max_thr]
+        nr = cnt[cand][:, None, None] - nl
+        least = max(1, min_samples_leaf)
+        valid = (nl >= least) & (nr >= least) & thr_ok[feats]
         with np.errstate(divide="ignore", invalid="ignore"):
             if criterion == "gini":
                 parent = 2.0 * cswr * (csw - cswr) / csw

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -419,18 +419,27 @@ def test_protocol_config_validation():
     (BotFilterConfig, "allowed_devices", "PCTV"),
 ])
 def test_config_checks_itself(cls, key, value):
-    # the CLI rejects these by their JSON type; the Python API by value
+    # the Python API and the CLI share one rule: the class checks itself
     with pytest.raises(InvalidConfig) as err:
         cls(**{key: value})
     assert err.value.key == key
     assert repr(value) in str(err.value)
 
 
-@pytest.mark.parametrize("cfg", [GenConfig(), BotFilterConfig(), TrainConfig(), ProtocolConfig()])
+@pytest.mark.parametrize("cfg", [GenConfig(), BotFilterConfig(allowed_devices=["PC"]), TrainConfig(),
+                                 ProtocolConfig(steps=[10])])
 def test_built_config_is_frozen(cfg):
     key = fields(cfg)[0].name
     with pytest.raises(FrozenInstanceError):
         setattr(cfg, key, getattr(cfg, key))
+    # a list builds the config that a tuple or a frozenset builds
+    twin = {
+        BotFilterConfig: BotFilterConfig(allowed_devices=frozenset({"PC"})),
+        ProtocolConfig: ProtocolConfig(steps=(10,)),
+    }.get(type(cfg), replace(cfg))
+    assert cfg == twin
+    if not isinstance(cfg, GenConfig):  # GenConfig's read-only mappings have no hash
+        assert hash(cfg) == hash(twin)
 
 
 def test_csv_outputs_shape():

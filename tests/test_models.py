@@ -321,6 +321,32 @@ def test_tree_tie_break_prefers_lowest_feature_and_threshold():
     assert split_features == {0}
 
 
+@pytest.mark.parametrize("criterion", ["gini", "mse"])
+def test_split_never_leaves_a_child_empty(criterion):
+    # A node whose rows sit in two bins with the same weighted label mix, so
+    # no real split gains anything, and a third bin above them that only a
+    # row outside the tree fills. A threshold above both bins leaves the
+    # right child empty, but the node's bincount total and the bins' cumsum
+    # round differently, so its weight can come out a few ulps above 0. The
+    # seed is one where it does, and weights alone once let that split pass.
+    rng = np.random.default_rng(492)
+    m = 72
+    w_half = rng.choice([1.1, 2.7], m) * rng.integers(1, 6, m)
+    y_half = (rng.random(m) < 0.5).astype(np.float64)
+    perm = rng.permutation(m)
+    order = rng.permutation(2 * m)
+    w = np.concatenate([w_half, w_half[perm]])[order]
+    y = np.concatenate([np.concatenate([y_half, y_half[perm]])[order], [0.0]])
+    x = np.concatenate([np.repeat([0.0, 1.0], m)[order], [2.0]])[:, None]
+    (tree,), node_of_row = trees._grow_trees(
+        trees._BinnedDesign(x, 32), [np.arange(2 * m)], y, w, criterion=criterion, max_depth=12,
+        min_samples_split=2, min_samples_leaf=1, rngs=[np.random.default_rng(0)], max_features=1,
+    )
+    leaves = np.flatnonzero(tree.feature < 0)
+    assert set(node_of_row.tolist()) == set(leaves.tolist())  # every leaf holds a training row
+    assert np.isfinite(tree.value).all()
+
+
 def test_tree_predict_walks_past_64_levels():
     # a 70-level chain: internal node 2i splits x <= i + 0.5 into leaf 2i + 1
     # (value i) and internal node 2i + 2; node 140 is the last leaf (value 70)

@@ -175,8 +175,9 @@ def test_built_config_mappings_are_read_only():
         g.purchase_page_chain["home"]["home"] = 1.0
     with pytest.raises(TypeError):
         g.device_transitions["PC"]["TV"] = 1.0
-    # the defaults the CLI compares JSON types with stay plain dicts
-    assert type(GenConfig.__dataclass_fields__["purchase_channel_mix"].default_factory()) is dict
+    # a default is a read-only copy, so the module's own table cannot change
+    with pytest.raises(TypeError):
+        GenConfig().purchase_page_chain["home"]["home"] = 1.0
     assert replace(g, n_customers=6).purchase_page_chain == g.purchase_page_chain
 
 
